@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -21,6 +22,9 @@ import numpy as np
 from . import __version__, bell, concepts, entangle, polytope, semspace
 
 SCHEMA_VERSION = 1
+
+#: Most points a sweep grid may hold; the report keeps one record per point.
+MAX_GRID_POINTS = 1_000_000
 
 
 def _digest(path: str | Path) -> str:
@@ -125,12 +129,16 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(x) for x in parts)
     except ValueError:
         raise ValueError(f"grid values must be numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"grid values must be finite, got {text!r}")
     if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
         raise ValueError(f"grid range [{start}, {stop}] exceeds [0, 1]")
     if stop < start:
         raise ValueError(f"grid stop {stop} is below start {start}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
+    if (stop - start) / step >= MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     values: list[float] = []
     k = 0
     while True:
@@ -361,7 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tolerance",
         type=float,
         default=1e-9,
-        help="feasibility tolerance for the mixture solve (default 1e-9)",
+        help="largest sup-norm residual allowed for the mixture weights of a "
+        "classical table (default 1e-9); the decision itself is exact",
     )
 
     return parser

@@ -1,16 +1,17 @@
 """Classical realizability of 2x2 correlation tables.
 
 A table of joint expectations is classically explainable when some convex
-mixture of the 16 deterministic outcome assignments reproduces it. That
-membership question is decided here by a small linear program, written as
+mixture of the 16 deterministic outcome assignments reproduces it. For two
+settings and two outcomes per side that polytope is known facet by facet:
+joints alone are classical exactly when the eight CHSH forms stay at or
+below 2 (Fine 1982, PRL 48 291); with singles, the 16 outcome-probability
+positivity facets join them (Froissart 1981; Collins & Gisin 2004). Every
+facet slack is a sum of at most five floats times +1/-1, so ``math.fsum``
+returns it correctly rounded and its sign, hence the decision, is exact.
 
-    minimize t  subject to  |M w - target| <= t,  sum(w) = 1,  w >= 0
-
-over the 16 strategy weights w: the optimal t is the best achievable
-sup-norm residual, and the table is realizable exactly when t falls within
-tolerance. This route is deliberately independent of the Bell-form
-enumeration in the sibling module; the test suite holds the two against
-each other rather than assuming their equivalence.
+Mixture weights for a classical table come in closed form from Fine's
+chordal construction; the test suite holds the decision against an
+independent linear program over the strategy weights.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bell import CorrelationTable, bell_value_all_forms, CHSH_FORMS
 
@@ -59,13 +59,9 @@ _STRATEGIES: tuple[DeterministicStrategy, ...] = tuple(
     for a0, a1, b0, b1 in itertools.product((1, -1), repeat=4)
 )
 
-# Joint-product matrix: one column per strategy, rows are the four joints.
-_JOINT_MATRIX = np.array(
-    [s.joint_products() for s in _STRATEGIES], dtype=float
-).T
-# Same for the four single-side outcomes.
-_SINGLE_MATRIX = np.array(
-    [s.outcome_vector() for s in _STRATEGIES], dtype=float
+# One column per strategy: its four joint products, then its four outcomes.
+_MOMENT_MATRIX = np.array(
+    [(*s.joint_products(), *s.outcome_vector()) for s in _STRATEGIES], dtype=float
 ).T
 
 
@@ -92,6 +88,14 @@ class Witness:
 
 @dataclass(frozen=True)
 class RealizabilityResult:
+    """Decision with its evidence.
+
+    Feasible results carry mixture weights over ``enumerate_strategies()``
+    and ``max_residual``, the sup-norm distance between the table and the
+    mixture. Infeasible results carry a violated facet as ``witness`` and
+    its violation, the facet's negated slack, as ``max_residual``.
+    """
+
     feasible: bool
     weights: tuple[float, ...] | None
     witness: Witness | None
@@ -101,82 +105,79 @@ class RealizabilityResult:
 def realizable(table: CorrelationTable, tol: float = 1e-9) -> RealizabilityResult:
     """Decide membership in the classical correlation polytope.
 
-    With singles present they become extra constraints alongside the four
-    joints. Feasible results carry cleaned weights (clipped to >= 0 and
-    renormalized); infeasible ones carry a violated-constraint witness.
+    The decision is exact and takes no tolerance. ``tol`` bounds the
+    sup-norm residual of the returned weights; a ValueError reports a
+    feasible table whose weights miss it by more.
     """
-    rows = [_JOINT_MATRIX]
-    target = list(table.joints_flat())
-    if table.has_singles:
-        rows.append(_SINGLE_MATRIX)
-        target.extend(table.singles_a)
-        target.extend(table.singles_b)
-    m = np.vstack(rows)
-    b = np.array(target)
-    n_cons, n_w = m.shape
-
-    # Variables: 16 weights then the residual t. Constraints fold
-    # |M w - b| <= t into two one-sided inequalities.
-    cost = np.zeros(n_w + 1)
-    cost[-1] = 1.0
-    ones_col = np.ones((n_cons, 1))
-    a_ub = np.block([[m, -ones_col], [-m, -ones_col]])
-    b_ub = np.concatenate([b, -b])
-    a_eq = np.concatenate([np.ones(n_w), [0.0]]).reshape(1, -1)
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * n_w + [(0.0, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"feasibility solve failed: {res.message}")
-
-    best_residual = float(res.fun)
-    if best_residual <= tol:
-        w = np.clip(res.x[:n_w], 0.0, None)
-        w /= w.sum()
-        residual = float(np.max(np.abs(m @ w - b)))
-        return RealizabilityResult(True, tuple(w.tolist()), None, residual)
-    return RealizabilityResult(False, None, _witness(table), best_residual)
-
-
-def _witness(table: CorrelationTable) -> Witness:
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be a non-negative number, got {tol!r}")
     joints = table.joints_flat()
-    best_signs = max(
-        CHSH_FORMS, key=lambda s: abs(sum(si * e for si, e in zip(s, joints)))
-    )
-    best_value = abs(sum(si * e for si, e in zip(best_signs, joints)))
-    if best_value > 2.0:
-        terms = " ".join(
-            f"{'+' if s > 0 else '-'}E{i // 2}{i % 2}" for i, s in enumerate(best_signs)
-        )
-        return Witness(
-            kind="bell-form",
-            value=best_value,
-            bound=2.0,
-            description=f"|{terms}| = {best_value!r} > 2",
-            signs=best_signs,
-        )
+    chsh = _chsh_slacks(joints)
+    positivity = _positivity_slacks(table) if table.has_singles else []
+    found = _witness(table, chsh, positivity)
+    if found is not None:
+        witness, slack = found
+        return RealizabilityResult(False, None, witness, -slack)
 
-    # Joints alone are fine, so the obstruction involves the singles: some
-    # outcome probability implied by (singles, joint) is negative.
-    worst = None
-    for i, j, sa, sb in itertools.product(range(2), range(2), (1, -1), (1, -1)):
-        q = (
-            1.0
-            + sa * table.singles_a[i]
-            + sb * table.singles_b[j]
-            + sa * sb * float(table.joint[i, j])
-        ) / 4.0
-        if worst is None or q < worst[0]:
-            worst = (q, i, j, sa, sb)
-    q, i, j, sa, sb = worst
-    if q < 0.0:
-        return Witness(
+    singles_a = table.singles_a or (0.0, 0.0)
+    singles_b = table.singles_b or (0.0, 0.0)
+    weights = _fine_weights(joints, singles_a, singles_b)
+    errors = _MOMENT_MATRIX @ weights - (*joints, *singles_a, *singles_b)
+    residual = float(np.max(np.abs(errors if table.has_singles else errors[:4])))
+    if residual > tol:
+        raise ValueError(
+            f"mixture weights reproduce the table only to {residual!r}, "
+            f"above the tolerance {tol!r}"
+        )
+    return RealizabilityResult(True, tuple(weights), None, residual)
+
+
+def _chsh_slacks(joints) -> list[float]:
+    """2 - s.E for each of the eight CHSH sign forms s."""
+    e00, e01, e10, e11 = joints
+    return [
+        math.fsum((2.0, -s0 * e00, -s1 * e01, -s2 * e10, -s3 * e11))
+        for s0, s1, s2, s3 in CHSH_FORMS
+    ]
+
+
+#: (row, col, row outcome, col outcome) of each positivity facet.
+_OUTCOMES = tuple(itertools.product(range(2), range(2), (1, -1), (1, -1)))
+
+
+def _positivity_slacks(table: CorrelationTable) -> list[float]:
+    """Each outcome probability implied by the singles and one joint."""
+    a, b, joints = table.singles_a, table.singles_b, table.joints_flat()
+    return [
+        math.fsum((1.0, sa * a[i], sb * b[j], sa * sb * joints[2 * i + j])) / 4.0
+        for i, j, sa, sb in _OUTCOMES
+    ]
+
+
+def _witness(table: CorrelationTable, chsh, positivity) -> tuple[Witness, float] | None:
+    """The most violated facet and its slack, or None if no slack is negative.
+
+    A violated CHSH form is reported before any positivity facet.
+    """
+    slack = min(chsh)
+    if slack < 0.0:
+        signs = CHSH_FORMS[chsh.index(slack)]
+        value = math.fsum(s * e for s, e in zip(signs, table.joints_flat()))
+        terms = " ".join(
+            f"{'+' if s > 0 else '-'}E{i // 2}{i % 2}" for i, s in enumerate(signs)
+        )
+        witness = Witness(
+            kind="bell-form",
+            value=value,
+            bound=2.0,
+            description=f"{terms} = {value!r} > 2 (by {-slack!r})",
+            signs=signs,
+        )
+        return witness, slack
+    if positivity and min(positivity) < 0.0:
+        q = min(positivity)
+        i, j, sa, sb = _OUTCOMES[positivity.index(q)]
+        witness = Witness(
             kind="outcome-probability",
             value=q,
             bound=0.0,
@@ -185,9 +186,73 @@ def _witness(table: CorrelationTable) -> Witness:
                 f"{table.col_contexts[j]!r}) = {q!r} < 0"
             ),
         )
-    raise RuntimeError(
-        "infeasible table with no violated facet; residual inconsistent"
-    )
+        return witness, q
+    return None
+
+
+#: Outcomes (a0, a1, b) of the triangle (A0, A1, Bk).
+_ATOMS = tuple(itertools.product((1, -1), repeat=3))
+_CHORD = tuple(a0 * a1 for a0, a1, _ in _ATOMS)
+_TRIPLE = tuple(a0 * a1 * b for a0, a1, b in _ATOMS)
+#: Per value of b, the two atoms with a0 = a1, and the two with a0 != a1.
+_SAME = tuple(
+    tuple(i for i, (a0, a1, bi) in enumerate(_ATOMS) if a0 == a1 and bi == b)
+    for b in (1, -1)
+)
+_CROSS = tuple(
+    tuple(i for i, (a0, a1, bi) in enumerate(_ATOMS) if a0 != a1 and bi == b)
+    for b in (1, -1)
+)
+
+
+def _fine_weights(joints, singles_a, singles_b) -> list[float]:
+    """Weights over the strategies of a classical table, in closed form.
+
+    The chord x = E[A0 A1] splits the cycle A0-B0-A1-B1 into the triangles
+    (A0, A1, Bk), k = 0, 1, whose outcome probabilities are
+
+        8 p_k(a0, a1, b) = c_k(a0, a1, b) + a0 a1 x + a0 a1 b t_k
+
+    with c_k fixed by the table and t_k = E[A0 A1 Bk]. Eliminating t_k
+    bounds x by pairwise sums of c_k: from below by atoms with a0 = a1, from
+    above by atoms with a0 != a1. x sits at the middle of both triangles'
+    common interval, then each t_k at the middle of its own. Fine's theorem
+    makes both intervals non-empty for a classical table. Gluing
+    p_0 p_1 / p(a0, a1) makes B0 and B1 independent given A0, A1 and matches
+    both triangles. Joints-only tables take zero singles, which flipping
+    every outcome of any mixture shows to be realizable too.
+    """
+    free = [
+        [
+            1.0
+            + a0 * singles_a[0]
+            + a1 * singles_a[1]
+            + b * (singles_b[k] + a0 * joints[k] + a1 * joints[2 + k])
+            for a0, a1, b in _ATOMS
+        ]
+        for k in range(2)
+    ]
+
+    def floor(c, groups):
+        return sum(min(c[i] for i in group) for group in groups)
+
+    x = (min(floor(c, _CROSS) for c in free) - min(floor(c, _SAME) for c in free)) / 4.0
+    p = []
+    for c in free:
+        g = [v + s * x for v, s in zip(c, _CHORD)]
+        t_lo = -min(v for v, s in zip(g, _TRIPLE) if s > 0)
+        t_hi = min(v for v, s in zip(g, _TRIPLE) if s < 0)
+        t = (t_lo + t_hi) / 2.0
+        p.append([max(0.0, (v + s * t) / 8.0) for v, s in zip(g, _TRIPLE)])
+
+    # Atoms 2m and 2m + 1 share the m-th (a0, a1) and have b = +1, -1.
+    weights = []
+    for m in range(0, 8, 2):
+        q0, q1 = p[0][m : m + 2], p[1][m : m + 2]
+        pair = (sum(q0) + sum(q1)) / 2.0
+        weights.extend(u * v / pair if pair > 0.0 else 0.0 for u in q0 for v in q1)
+    total = math.fsum(weights)
+    return [w / total for w in weights]
 
 
 def is_kolmogorovian(table: CorrelationTable, tol: float = 1e-12) -> bool:

@@ -155,6 +155,17 @@ def test_sweep_grid_validation(capsys):
         assert err.startswith("error:"), bad
 
 
+def test_sweep_grid_rejects_non_finite_and_oversized_grids(capsys):
+    for bad in ("0:1:nan", "0:1:inf", "nan:1:0.1", "0:nan:0.1"):
+        code, _, err = run(capsys, ["sweep", "--grid", bad])
+        assert code == 1, bad
+        assert err.startswith("error: grid values must be finite"), bad
+    for bad in ("0:1:1e-12", "0:1:5e-324", "0:1:1e-6"):
+        code, _, err = run(capsys, ["sweep", "--grid", bad])
+        assert code == 1, bad
+        assert err.startswith("error:") and "more than 1000000 points" in err, bad
+
+
 # ---------------------------------------------------------------------- guppy
 
 
@@ -272,6 +283,12 @@ def test_kolmo_rejects_the_perfect_correlation_scenario(capsys):
     assert witness["bound"] == 2.0
 
 
+def test_kolmo_rejects_a_negative_tolerance(capsys):
+    code, _, err = run(capsys, ["kolmo", "--odd-event", "1", "--tolerance", "-1"])
+    assert code == 1
+    assert err.startswith("error: tolerance must be a non-negative number")
+
+
 def test_kolmo_accepts_the_fully_mixed_scenario(capsys):
     report = run_report(capsys, ["kolmo", "--odd-event", "1"])
     results = report["results"]
@@ -316,3 +333,27 @@ def test_module_entry_point_reports_the_version():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("contextprob ")
+
+
+def imported_modules(*args):
+    """Top-level modules a fresh interpreter imports for ``args``."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip().split(".")[0]
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_scipy_stays_out_of_the_runtime():
+    library = imported_modules("-c", "import contextprob")
+    assert "contextprob" in library
+    assert "scipy" not in library
+    command = imported_modules("-m", "contextprob", "bell", "--odd-event", "0")
+    assert "numpy" in command
+    assert "scipy" not in command

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from contextprob.bell import CorrelationTable, bell_value_all_forms
 from contextprob.polytope import (
@@ -33,6 +34,37 @@ def reconstruct(weights):
         joints += w * np.asarray(s.joint_products())
         singles += w * np.asarray(s.outcome_vector())
     return joints, singles
+
+
+def lp_residual(t):
+    """Best sup-norm residual of any strategy mixture, by linear program.
+
+    minimize r  subject to  |M w - target| <= r,  sum(w) = 1,  w >= 0,
+    over the 16 strategy weights w. An oracle independent of the facet
+    decision; HiGHS works to about 1e-7, so only tables well away from
+    every facet are decided by it.
+    """
+    strategies = enumerate_strategies()
+    columns = [s.joint_products() for s in strategies]
+    target = list(t.joints_flat())
+    if t.has_singles:
+        columns = [c + s.outcome_vector() for c, s in zip(columns, strategies)]
+        target += [*t.singles_a, *t.singles_b]
+    m = np.array(columns, dtype=float).T
+    b = np.array(target)
+    n_cons, n_w = m.shape
+    ones = np.ones((n_cons, 1))
+    res = linprog(
+        np.r_[np.zeros(n_w), 1.0],
+        A_ub=np.block([[m, -ones], [-m, -ones]]),
+        b_ub=np.r_[b, -b],
+        A_eq=np.r_[np.ones(n_w), 0.0].reshape(1, -1),
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * (n_w + 1),
+        method="highs",
+    )
+    assert res.success, res.message
+    return float(res.fun)
 
 
 PERFECT = table(
@@ -154,15 +186,37 @@ def test_is_kolmogorovian_rejects_tables_with_singles():
 
 
 def test_oracle_agreement_on_random_tables():
-    # The two routes are independent: one solves a membership program over
-    # the sixteen deterministic strategies, the other maximizes over the
+    # The routes are independent: a membership program over the sixteen
+    # deterministic strategies, the facet decision, and the maximum over the
     # eight sign forms. They must agree on every joints-only table.
     rng = np.random.default_rng(20260818)
     for _ in range(2000):
         t = table(rng.uniform(-1, 1, size=(2, 2)))
-        lp = realizable(t).feasible
-        forms = bell_value_all_forms(t) <= 2.0 + 1e-9
-        assert lp == forms
+        feasible = realizable(t).feasible
+        assert feasible == (lp_residual(t) <= 1e-9)
+        assert feasible == (bell_value_all_forms(t) <= 2.0 + 1e-9)
+
+
+def test_lp_oracle_agreement_on_random_tables_with_singles():
+    # Half the tables are strategy mixtures, half have uniform singles, so
+    # both outcomes and both kinds of witness occur.
+    rng = np.random.default_rng(20261017)
+    kinds = set()
+    for n in range(600):
+        if n % 2:
+            joints, singles = reconstruct(rng.dirichlet(np.full(16, 0.5)))
+            joints, singles = np.clip(joints, -1, 1), np.clip(singles, -1, 1)
+        else:
+            joints, singles = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
+        t = table(
+            joints.reshape(2, 2),
+            singles_a=tuple(singles[:2]),
+            singles_b=tuple(singles[2:]),
+        )
+        result = realizable(t)
+        assert result.feasible == (lp_residual(t) <= 1e-9)
+        kinds.add(result.witness.kind if result.witness else "feasible")
+    assert kinds == {"feasible", "bell-form", "outcome-probability"}
 
 
 def test_realizable_set_is_convex():
@@ -188,6 +242,110 @@ def test_infeasible_tables_carry_a_violating_witness():
         seen += 1
         assert result.witness.kind == "bell-form"
         assert result.witness.value > 2.0
+
+
+def test_form_just_above_two_is_caught_with_its_witness():
+    # E00 + E01 + E10 - E11 = 2 + 2**-54 exactly, but a plain float sum
+    # rounds it to 2.0; the decision and its witness use the exact slack.
+    t = table([[1.0, 0.75], [0.25 + 2.0**-54, 0.0]])
+    assert bell_value_all_forms(t) == 2.0
+    result = realizable(t)
+    assert not result.feasible
+    assert result.witness.kind == "bell-form"
+    assert result.witness.signs == (1, 1, 1, -1)
+    assert result.max_residual == 2.0**-54
+
+
+def test_tolerance_bounds_the_weight_residual():
+    mixture = np.random.default_rng(11).dirichlet(np.ones(16))
+    joints, _ = reconstruct(mixture)
+    t = table(joints.reshape(2, 2))
+    result = realizable(t)
+    assert 0.0 < result.max_residual <= 1e-12
+    assert realizable(t, tol=result.max_residual) == result
+    with pytest.raises(ValueError, match="above the tolerance"):
+        realizable(t, tol=result.max_residual / 2)
+    for bad in (-1e-9, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            realizable(t, tol=bad)
+
+
+# ------------------------------------------------------------ facet boundary
+
+DELTAS = (1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+
+
+def facet_table(rng, saturates, push, with_singles):
+    """A random mixture of the strategies on a facet, pushed off it.
+
+    ``push`` is added to the joints (row-major) and singles (row 0, row 1,
+    col 0, col 1) of the mixture.
+    """
+    on = np.array([saturates(s) for s in enumerate_strategies()], dtype=float)
+    mixture = on * rng.dirichlet(np.ones(16))
+    joints, singles = reconstruct(mixture / mixture.sum())
+    joints, singles = joints + push[:4], singles + push[4:]
+    if not with_singles:
+        return table(joints.reshape(2, 2))
+    return table(
+        joints.reshape(2, 2),
+        singles_a=tuple(singles[:2]),
+        singles_b=tuple(singles[2:]),
+    )
+
+
+def check_boundary(t, slack, kind):
+    result = realizable(t)
+    assert result.feasible == (slack >= 0.0)
+    if result.feasible:
+        w = np.asarray(result.weights)
+        assert np.all(w >= 0) and math.isclose(w.sum(), 1.0, abs_tol=1e-12)
+        joints, singles = reconstruct(w)
+        assert np.max(np.abs(joints - t.joints_flat())) <= 1e-9
+        if t.has_singles:
+            target = (*t.singles_a, *t.singles_b)
+            assert np.max(np.abs(singles - target)) <= 1e-9
+        assert result.max_residual <= 1e-9
+    else:
+        assert result.witness.kind == kind
+        assert result.max_residual == -slack
+
+
+@pytest.mark.parametrize("side", (1, -1))
+@pytest.mark.parametrize("delta", DELTAS)
+def test_chsh_facet_boundary(delta, side):
+    # Facet E00 + E01 + E10 - E11 <= 2, joints only; side +1 crosses it.
+    signs = (1, 1, 1, -1)
+    push = np.r_[np.array(signs) * side * delta / 4.0, np.zeros(4)]
+    rng = np.random.default_rng([1, round(-math.log10(delta)), side + 1])
+    for _ in range(10):
+        t = facet_table(
+            rng, lambda s: np.dot(signs, s.joint_products()) == 2, push, False
+        )
+        e00, e01, e10, e11 = t.joints_flat()
+        slack = math.fsum((2.0, -e00, -e01, -e10, e11))
+        assert (slack < 0) == (side > 0)
+        check_boundary(t, slack, "bell-form")
+
+
+@pytest.mark.parametrize("side", (1, -1))
+@pytest.mark.parametrize("delta", DELTAS)
+def test_positivity_facet_boundary(delta, side):
+    # Facet p(row=+1, col=+1 | r0, c0) = (1 + A0 + B0 + E00) / 4 >= 0, with
+    # singles; side +1 crosses it.
+    push = np.zeros(8)
+    push[[0, 4, 6]] = -side * delta * 4.0 / 3.0
+    rng = np.random.default_rng([2, round(-math.log10(delta)), side + 1])
+    for _ in range(10):
+        t = facet_table(
+            rng,
+            lambda s: not (s.row_outcomes[0] == s.col_outcomes[0] == 1),
+            push,
+            True,
+        )
+        q = math.fsum((1.0, t.singles_a[0], t.singles_b[0], t.joints_flat()[0])) / 4.0
+        assert (q < 0) == (side > 0)
+        check_boundary(t, q, "outcome-probability")
 
 
 # ------------------------------------------------- brute-force counterevidence
