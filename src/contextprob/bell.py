@@ -23,6 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._labels import distinct_labels
+
 #: All eight sign placements: one minus among the four terms, up to a
 #: global flip, i.e. every sign tuple with an odd number of -1 entries.
 CHSH_FORMS: tuple[tuple[int, int, int, int], ...] = tuple(
@@ -82,11 +84,11 @@ class CorrelationTable:
 
 def _context_pair(labels, kind: str) -> tuple[str, str]:
     pair = tuple(labels)
-    if len(pair) != 2 or any(not isinstance(x, str) or not x for x in pair):
-        raise ValueError(f"need exactly two non-empty {kind} context labels, got {labels!r}")
+    if len(pair) != 2:
+        raise ValueError(f"need exactly two {kind} context labels, got {labels!r}")
     if pair[0] == pair[1]:
         raise ValueError(f"{kind} context labels must differ, got {pair[0]!r} twice")
-    return pair
+    return distinct_labels(pair, f"{kind} context")
 
 
 def _singles(values, contexts) -> tuple[float, float] | None:

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -396,21 +397,30 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 1
-        print(f"# contextprob schema={SCHEMA_VERSION} version={__version__}")
-        print(f"# command: {args.command} " + " ".join(raw[1:]))
-        for line in tsv:
+        lines = [
+            f"# contextprob schema={SCHEMA_VERSION} version={__version__}",
+            f"# command: {args.command} " + " ".join(raw[1:]),
+            *tsv,
+        ]
+    else:
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "artifact_version": __version__,
+            "command": raw,
+            "inputs": digests,
+            "results": results,
+            "timing_s": round(elapsed, 6),
+        }
+        lines = [json.dumps(report, indent=2, sort_keys=True)]
+    try:
+        for line in lines:
             print(line)
-        return 0
-
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "artifact_version": __version__,
-        "command": raw,
-        "inputs": digests,
-        "results": results,
-        "timing_s": round(elapsed, 6),
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (say, `| head`). Send the rest to
+        # devnull so the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -23,6 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._labels import distinct_labels
 from .hilbert import StateVector
 
 _SUM_TOL = 1e-12
@@ -37,8 +38,8 @@ class RatingTable:
     ratings: np.ndarray
 
     def __post_init__(self) -> None:
-        exemplars = _distinct_labels(self.exemplars, "exemplar")
-        contexts = _distinct_labels(self.contexts, "context")
+        exemplars = distinct_labels(self.exemplars, "exemplar")
+        contexts = distinct_labels(self.contexts, "context")
         ratings = np.array(self.ratings, dtype=float)
         if ratings.shape != (len(exemplars), len(contexts)):
             raise ValueError(
@@ -87,20 +88,6 @@ class RatingTable:
 
     def column(self, context: str) -> np.ndarray:
         return self.ratings[:, self.context_index(context)].copy()
-
-
-def _distinct_labels(labels, kind: str) -> tuple[str, ...]:
-    out = tuple(labels)
-    if not out:
-        raise ValueError(f"need at least one {kind} label")
-    for label in out:
-        if not isinstance(label, str) or not label:
-            raise ValueError(f"{kind} labels must be non-empty strings, got {label!r}")
-    if len(set(out)) != len(out):
-        seen: set[str] = set()
-        dup = next(x for x in out if x in seen or seen.add(x))
-        raise ValueError(f"duplicate {kind} label: {dup!r}")
-    return out
 
 
 @dataclass(frozen=True, eq=False)

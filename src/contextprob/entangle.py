@@ -16,10 +16,14 @@ narrower the relation, the more the marginals can shift; see guppy_gap.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping
 
+import numpy as np
+
+from ._labels import distinct_labels
 from .concepts import ContextDistribution
 from .hilbert import Observable
 
@@ -52,6 +56,18 @@ class CompatibilityRelation:
     @property
     def right_labels(self) -> frozenset[str]:
         return frozenset(b for _, b in self.pairs)
+
+    @cached_property
+    def _index(self) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
+        """Distinct left and right labels, first seen first, and each pair's
+        positions in them. Built on first use and kept."""
+        left: dict[str, int] = {}
+        right: dict[str, int] = {}
+        n = len(self.pairs)
+        li = np.fromiter((left.setdefault(a, len(left)) for a, _ in self.pairs), np.intp, n)
+        ri = np.fromiter((right.setdefault(b, len(right)) for _, b in self.pairs), np.intp, n)
+        li.flags.writeable = ri.flags.writeable = False
+        return tuple(left), tuple(right), li, ri
 
 
 def full_relation(left: tuple[str, ...], right: tuple[str, ...]) -> CompatibilityRelation:
@@ -91,8 +107,10 @@ def load_relation(path: str | Path) -> CompatibilityRelation:
 class EntangledState:
     """Unit-norm joint amplitudes over pairs drawn from two label bases.
 
-    Only pairs with nonzero amplitude are stored; everything else is an
-    implicit zero.
+    Only the support is stored, as three aligned arrays in the order the
+    pairs were given: each pair's position in ``basis_a``, its position in
+    ``basis_b``, and its nonzero complex amplitude. ``amplitudes`` is a
+    read-only mapping view of those arrays keyed by (x, y) label pair.
     """
 
     basis_a: tuple[str, ...]
@@ -100,23 +118,60 @@ class EntangledState:
     amplitudes: Mapping[tuple[str, str], complex]
 
     def __post_init__(self) -> None:
-        basis_a = _check_side(self.basis_a, "A")
-        basis_b = _check_side(self.basis_b, "B")
-        amps: dict[tuple[str, str], complex] = {}
+        basis_a = distinct_labels(self.basis_a, "side A basis")
+        basis_b = distinct_labels(self.basis_b, "side B basis")
+        pos_a = {x: i for i, x in enumerate(basis_a)}
+        pos_b = {y: j for j, y in enumerate(basis_b)}
+        rows: list[int] = []
+        cols: list[int] = []
+        amps: list[complex] = []
         for (x, y), a in dict(self.amplitudes).items():
-            if x not in basis_a:
+            if x not in pos_a:
                 raise ValueError(f"pair label {x!r} is not in side A basis {list(basis_a)}")
-            if y not in basis_b:
+            if y not in pos_b:
                 raise ValueError(f"pair label {y!r} is not in side B basis {list(basis_b)}")
             a = complex(a)
             if a != 0:
-                amps[(x, y)] = a
-        norm_sq = sum(abs(a) ** 2 for a in amps.values())
+                rows.append(pos_a[x])
+                cols.append(pos_b[y])
+                amps.append(a)
+        self._set(
+            basis_a,
+            basis_b,
+            pos_a,
+            pos_b,
+            np.array(rows, dtype=np.intp),
+            np.array(cols, dtype=np.intp),
+            np.array(amps, dtype=complex),
+        )
+
+    @classmethod
+    def _from_arrays(cls, basis_a, basis_b, pos_a, pos_b, rows, cols, amps) -> EntangledState:
+        """A state from checked bases and support arrays with no zero amplitude."""
+        state = object.__new__(cls)
+        state._set(basis_a, basis_b, pos_a, pos_b, rows, cols, amps)
+        return state
+
+    def _set(self, basis_a, basis_b, pos_a, pos_b, rows, cols, amps) -> None:
+        probs = np.abs(amps) ** 2
+        norm_sq = float(np.sum(probs))
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise ValueError(f"joint state is not normalized: squared norm {norm_sq!r}")
-        object.__setattr__(self, "basis_a", basis_a)
-        object.__setattr__(self, "basis_b", basis_b)
-        object.__setattr__(self, "amplitudes", amps)
+        for arr in (rows, cols, amps, probs):
+            arr.flags.writeable = False
+        fields = {
+            "basis_a": basis_a,
+            "basis_b": basis_b,
+            "amplitudes": _PairAmplitudes(basis_a, basis_b, rows, cols, amps),
+            "_pos_a": pos_a,
+            "_pos_b": pos_b,
+            "_rows": rows,
+            "_cols": cols,
+            "_amps": amps,
+            "_probs": probs,
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def support(self) -> frozenset[tuple[str, str]]:
@@ -129,16 +184,41 @@ class EntangledState:
         return abs(self.amplitude(x, y)) ** 2
 
 
-def _check_side(labels, side: str) -> tuple[str, ...]:
-    out = tuple(labels)
-    if not out:
-        raise ValueError(f"side {side} basis must contain at least one label")
-    for label in out:
-        if not isinstance(label, str) or not label:
-            raise ValueError(f"side {side} labels must be non-empty strings, got {label!r}")
-    if len(set(out)) != len(out):
-        raise ValueError(f"side {side} basis has duplicate labels")
-    return out
+class _PairAmplitudes(Mapping):
+    """Read-only (x, y) -> amplitude view of a state's support arrays.
+
+    The view holds the arrays, not the state: a reference back would make a
+    cycle, and states would then wait for the cyclic garbage collector.
+    """
+
+    __slots__ = ("_basis_a", "_basis_b", "_rows", "_cols", "_amps", "_slots")
+
+    def __init__(self, basis_a, basis_b, rows, cols, amps) -> None:
+        self._basis_a, self._basis_b = basis_a, basis_b
+        self._rows, self._cols, self._amps = rows, cols, amps
+        self._slots: dict[tuple[str, str], int] | None = None
+
+    def __len__(self) -> int:
+        return len(self._amps)
+
+    def __iter__(self):
+        a, b = self._basis_a, self._basis_b
+        return ((a[i], b[j]) for i, j in zip(self._rows.tolist(), self._cols.tolist()))
+
+    def __getitem__(self, pair: tuple[str, str]) -> complex:
+        if self._slots is None:
+            self._slots = {p: k for k, p in enumerate(self)}
+        return complex(self._amps[self._slots[pair]])
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _indexed(dist: ContextDistribution) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:
+    """A distribution's exemplars, their positions, and their probabilities."""
+    basis = dist.exemplars
+    probs = np.fromiter(dist.probabilities.values(), dtype=float, count=len(basis))
+    return basis, {x: i for i, x in enumerate(basis)}, probs
 
 
 def combine(
@@ -152,21 +232,29 @@ def combine(
     the square roots of those weights after renormalization. Fails when no
     compatible pair carries positive probability on both sides.
     """
-    basis_a = dist_a.exemplars
-    basis_b = dist_b.exemplars
-    weights: dict[tuple[str, str], float] = {}
-    for x, y in relation.pairs:
-        w = dist_a.probability(x) * dist_b.probability(y)
-        if w > 0:
-            weights[(x, y)] = w
-    if not weights:
+    basis_a, pos_a, pa = _indexed(dist_a)
+    basis_b, pos_b, pb = _indexed(dist_b)
+    left, right, li, ri = relation._index
+    at_a = [pos_a.get(x, -1) for x in left]
+    at_b = [pos_b.get(y, -1) for y in right]
+    if -1 in at_a or -1 in at_b:
+        for x, y in relation.pairs:  # report the first unknown label, pair by pair
+            dist_a.probability(x)
+            dist_b.probability(y)
+    rows = np.array(at_a, dtype=np.intp)[li]
+    cols = np.array(at_b, dtype=np.intp)[ri]
+    weights = pa[rows] * pb[cols]
+    keep = weights > 0
+    if not keep.any():
         raise ValueError(
             "concepts cannot be combined: no compatible pair has positive "
             "probability on both sides"
         )
-    total = sum(weights.values())
-    amps = {pair: complex(math.sqrt(w / total)) for pair, w in weights.items()}
-    return EntangledState(basis_a, basis_b, amps)
+    weights = weights[keep]
+    amps = np.sqrt(weights / weights.sum()).astype(complex)
+    return EntangledState._from_arrays(
+        basis_a, basis_b, pos_a, pos_b, rows[keep], cols[keep], amps
+    )
 
 
 def joint_expectation(state: EntangledState, obs_a: Observable, obs_b: Observable) -> float:
@@ -181,43 +269,49 @@ def joint_expectation(state: EntangledState, obs_a: Observable, obs_b: Observabl
             f"side B basis mismatch: observable {list(obs_b.basis)} vs "
             f"state {list(state.basis_b)}"
         )
-    total = 0.0
-    for (x, y), a in state.amplitudes.items():
-        total += obs_a.signs[x] * obs_b.signs[y] * abs(a) ** 2
+    sa = np.array([obs_a.signs[x] for x in state.basis_a], dtype=float)
+    sb = np.array([obs_b.signs[y] for y in state.basis_b], dtype=float)
+    total = float(np.dot(sa[state._rows] * sb[state._cols], state._probs))
     return min(max(total, -1.0), 1.0)
+
+
+def _side(state: EntangledState, side: str) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:
+    """One side's basis, label positions, and the support's index into it."""
+    if side == "A":
+        return state.basis_a, state._pos_a, state._rows
+    if side == "B":
+        return state.basis_b, state._pos_b, state._cols
+    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
 def marginal(state: EntangledState, side: str) -> ContextDistribution:
     """One side's exemplar distribution, summing the joint over the other."""
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    pick = 0 if side == "A" else 1
-    basis = state.basis_a if side == "A" else state.basis_b
-    probs = dict.fromkeys(basis, 0.0)
-    for pair, a in state.amplitudes.items():
-        probs[pair[pick]] += abs(a) ** 2
-    return ContextDistribution(f"marginal of side {side}", probs)
+    basis, _, idx = _side(state, side)
+    probs = np.bincount(idx, weights=state._probs, minlength=len(basis))
+    return ContextDistribution(f"marginal of side {side}", dict(zip(basis, probs.tolist())))
 
 
 def conditional_collapse(state: EntangledState, side: str, exemplar: str) -> EntangledState:
     """Condition the joint state on one side's exemplar being observed."""
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    basis = state.basis_a if side == "A" else state.basis_b
-    if exemplar not in basis:
+    basis, pos, idx = _side(state, side)
+    if exemplar not in pos:
         raise ValueError(
             f"unknown exemplar {exemplar!r} on side {side}; basis is {list(basis)}"
         )
-    pick = 0 if side == "A" else 1
-    kept = {pair: a for pair, a in state.amplitudes.items() if pair[pick] == exemplar}
-    mass = sum(abs(a) ** 2 for a in kept.values())
+    kept = idx == pos[exemplar]
+    mass = float(np.sum(state._probs[kept]))
     if mass <= _NORM_TOL:
         raise ValueError(
             f"cannot collapse side {side} to {exemplar!r}: its marginal probability is zero"
         )
-    scale = 1.0 / math.sqrt(mass)
-    return EntangledState(
-        state.basis_a, state.basis_b, {pair: a * scale for pair, a in kept.items()}
+    return EntangledState._from_arrays(
+        state.basis_a,
+        state.basis_b,
+        state._pos_a,
+        state._pos_b,
+        state._rows[kept],
+        state._cols[kept],
+        state._amps[kept] / math.sqrt(mass),
     )
 
 
@@ -233,7 +327,7 @@ def guppy_gap(
     strictly positive gap means the combined concept rates the exemplar
     higher than either concept alone ever did.
     """
-    if exemplar not in state.basis_a or exemplar not in state.basis_b:
+    if exemplar not in state._pos_a or exemplar not in state._pos_b:
         raise ValueError(
             f"exemplar {exemplar!r} must appear in both bases; "
             f"side A has {list(state.basis_a)}, side B has {list(state.basis_b)}"

@@ -10,29 +10,18 @@ operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
+
+from ._labels import distinct_labels
 
 DEFAULT_TOL = 1e-12
 
 # Separator used for tensor-product labels. Joining flat strings keeps
 # three-factor products associative at the label level as well.
 TENSOR_SEP = "⊗"
-
-
-def _as_basis(labels: Iterable[str]) -> tuple[str, ...]:
-    basis = tuple(labels)
-    if not basis:
-        raise ValueError("basis must contain at least one label")
-    for label in basis:
-        if not isinstance(label, str) or not label:
-            raise ValueError(f"basis labels must be non-empty strings, got {label!r}")
-    if len(set(basis)) != len(basis):
-        seen: set[str] = set()
-        dup = next(x for x in basis if x in seen or seen.add(x))
-        raise ValueError(f"duplicate basis label: {dup!r}")
-    return basis
 
 
 def _same_basis(a, b, op: str) -> None:
@@ -50,7 +39,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        basis = _as_basis(self.basis)
+        basis = distinct_labels(self.basis, "basis")
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape[0] != len(basis):
             raise ValueError(
@@ -62,15 +51,19 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "_pos", {x: i for i, x in enumerate(basis)})
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _pos(self) -> dict[str, int]:
+        # Built on first use: tensor() makes large states that are never indexed.
+        return {x: i for i, x in enumerate(self.basis)}
+
     def index(self, label: str) -> int:
         try:
-            return self._pos[label]  # type: ignore[attr-defined]
+            return self._pos[label]
         except KeyError:
             raise ValueError(
                 f"unknown basis label {label!r}; basis is {list(self.basis)}"
@@ -92,7 +85,7 @@ class Projector:
     support: frozenset[str]
 
     def __post_init__(self) -> None:
-        basis = _as_basis(self.basis)
+        basis = distinct_labels(self.basis, "basis")
         support = frozenset(self.support)
         stray = support - set(basis)
         if stray:
@@ -104,7 +97,7 @@ class Projector:
 
 
 def identity_projector(basis: Sequence[str]) -> Projector:
-    b = _as_basis(basis)
+    b = distinct_labels(basis, "basis")
     return Projector(b, frozenset(b))
 
 
@@ -116,7 +109,7 @@ class Observable:
     signs: Mapping[str, int]
 
     def __post_init__(self) -> None:
-        basis = _as_basis(self.basis)
+        basis = distinct_labels(self.basis, "basis")
         signs = dict(self.signs)
         if set(signs) != set(basis):
             missing = sorted(set(basis) - set(signs))
@@ -148,7 +141,7 @@ def sign_projectors(obs: Observable) -> tuple[Projector, Projector]:
 
 def basis_state(basis: Sequence[str], label: str) -> StateVector:
     """The state with all amplitude on one label."""
-    b = _as_basis(basis)
+    b = distinct_labels(basis, "basis")
     if label not in b:
         raise ValueError(f"unknown basis label {label!r}; basis is {list(b)}")
     amps = np.zeros(len(b), dtype=complex)
@@ -164,13 +157,16 @@ def normalize(
     Vectors whose norm is at or below ``tol`` are treated as zero and
     rejected, since no direction can be recovered from them.
     """
-    b = _as_basis(basis)
+    b = tuple(basis)
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if amps.shape[0] != len(b):
         raise ValueError(f"{amps.shape[0]} amplitudes for {len(b)} basis labels")
     norm = float(np.linalg.norm(amps))
     if norm <= tol:
+        distinct_labels(b, "basis")  # a bad label is reported before a zero vector
         raise ValueError("cannot normalize an all-zero amplitude vector")
+    # StateVector checks the labels; checking them here too would double
+    # the cost of tensor().
     return StateVector(b, amps / norm)
 
 
@@ -186,7 +182,7 @@ def tensor(u: StateVector, v: StateVector) -> StateVector:
     Pair labels are formed by joining the factor labels with a separator,
     left factor first, so the result is sensitive to argument order.
     """
-    labels = [f"{a}{TENSOR_SEP}{b}" for a in u.basis for b in v.basis]
+    labels = [p + b for p in [a + TENSOR_SEP for a in u.basis] for b in v.basis]
     amps = np.outer(u.amplitudes, v.amplitudes).reshape(-1)
     # Each factor is unit norm only within tolerance, so the product can
     # drift past the constructor gate; renormalize the (near-unit) result.

@@ -255,21 +255,25 @@ def _fine_weights(joints, singles_a, singles_b) -> list[float]:
     return [w / total for w in weights]
 
 
-def is_kolmogorovian(table: CorrelationTable, tol: float = 1e-12) -> bool:
-    """Joints-only shortcut: classical iff every Bell form stays <= 2."""
+def is_kolmogorovian(table: CorrelationTable) -> bool:
+    """Joints-only shortcut: classical iff every CHSH slack is >= 0."""
     if table.has_singles:
         raise ValueError(
             "is_kolmogorovian applies to joints-only tables; "
             "use realizable() when singles are present"
         )
-    return bell_value_all_forms(table) <= 2.0 + tol
+    return classify(table) == CLASSICAL
 
 
 def classify(table: CorrelationTable, tol: float = 1e-12) -> str:
-    """Band of the all-forms value: classical, quantum-achievable, supra-quantum."""
-    value = bell_value_all_forms(table)
-    if value <= 2.0 + tol:
+    """Band of the joints: classical, quantum-achievable, supra-quantum.
+
+    "Classical" is decided from the exact CHSH slacks, as in realizable(),
+    so the two agree at the facet; singles play no part. Above it, the
+    all-forms value splits the bands at 2*sqrt(2), within ``tol``.
+    """
+    if min(_chsh_slacks(table.joints_flat())) >= 0.0:
         return CLASSICAL
-    if value <= TSIRELSON_BOUND + tol:
+    if bell_value_all_forms(table) <= TSIRELSON_BOUND + tol:
         return QUANTUM_ACHIEVABLE
     return SUPRA_QUANTUM

@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._labels import distinct_labels
+
 DEFAULT_ORDER_BUDGET = 1_000_000
 
 
@@ -28,8 +30,8 @@ class TermDocMatrix:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        terms = _labels(self.terms, "term")
-        docs = _labels(self.docs, "document")
+        terms = distinct_labels(self.terms, "term")
+        docs = distinct_labels(self.docs, "document")
         counts = np.array(self.counts, dtype=np.int64)
         if counts.shape != (len(terms), len(docs)):
             raise ValueError(
@@ -52,18 +54,6 @@ class TermDocMatrix:
             raise ValueError(
                 f"unknown term {term!r}; vocabulary has {len(self.terms)} terms"
             ) from None
-
-
-def _labels(labels, kind: str) -> tuple[str, ...]:
-    out = tuple(labels)
-    if not out:
-        raise ValueError(f"need at least one {kind} label")
-    for x in out:
-        if not isinstance(x, str) or not x:
-            raise ValueError(f"{kind} labels must be non-empty strings, got {x!r}")
-    if len(set(out)) != len(out):
-        raise ValueError(f"duplicate {kind} label")
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +185,7 @@ def similarity(space: SemanticSpace, term1: str, term2: str) -> float:
 
 
 def _vocab_indices(tokens: Sequence[str], vocab: Sequence[str]) -> list[int]:
-    pos = {t: i for i, t in enumerate(_labels(vocab, "vocabulary"))}
+    pos = {t: i for i, t in enumerate(distinct_labels(vocab, "vocabulary"))}
     missing = sorted({t for t in tokens if t not in pos})
     if missing:
         raise ValueError(f"tokens not in vocabulary: {missing!r}")

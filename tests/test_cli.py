@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -333,6 +334,33 @@ def test_module_entry_point_reports_the_version():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("contextprob ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kolmo", "--scenario", PET_FOOD_SCENARIO],
+        ["sweep", "--grid", "0:1:0.25", "--format", "tsv"],
+    ],
+)
+def test_closed_stdout_ends_quietly(argv):
+    # The reader is gone before the report is written, as with `| head`
+    # once it has its lines.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "contextprob", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 1
 
 
 def imported_modules(*args):

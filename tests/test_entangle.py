@@ -1,8 +1,11 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contextprob.concepts import ContextDistribution
 from contextprob.entangle import (
@@ -346,3 +349,172 @@ def test_sampled_states_never_beat_the_tensor_model_ceiling():
         worst = max(worst, best)
         assert best <= ceiling
     assert worst <= ceiling
+
+
+# ------------------------------------------- reference: the dict-based kernels
+#
+# The pair-by-pair definitions the array kernels replace, kept as an
+# independent check of the support-array representation.
+
+
+def ref_combine(pa, pb, relation):
+    weights = {}
+    for x, y in relation.pairs:
+        w = pa.probability(x) * pb.probability(y)
+        if w > 0:
+            weights[(x, y)] = w
+    total = sum(weights.values())
+    return {pair: math.sqrt(w / total) for pair, w in weights.items()}
+
+
+def ref_marginal(amps, basis, pick):
+    probs = dict.fromkeys(basis, 0.0)
+    for pair, a in amps.items():
+        probs[pair[pick]] += abs(a) ** 2
+    return probs
+
+
+def ref_joint_expectation(amps, signs_a, signs_b):
+    return sum(signs_a[x] * signs_b[y] * abs(a) ** 2 for (x, y), a in amps.items())
+
+
+def ref_collapse(amps, pick, exemplar):
+    kept = {pair: a for pair, a in amps.items() if pair[pick] == exemplar}
+    scale = 1.0 / math.sqrt(sum(abs(a) ** 2 for a in kept.values()))
+    return {pair: a * scale for pair, a in kept.items()}
+
+
+def assert_same_amplitudes(state, ref):
+    assert list(state.amplitudes) == list(ref)
+    got = np.array([state.amplitudes[p] for p in ref])
+    assert np.max(np.abs(got - np.array(list(ref.values())))) <= 1e-12
+
+
+def assert_matches_reference(pa, pb, relation, signs_a, signs_b):
+    ref = ref_combine(pa, pb, relation)
+    if not ref:
+        with pytest.raises(ValueError, match="cannot be combined"):
+            combine(pa, pb, relation)
+        return
+    state = combine(pa, pb, relation)
+    assert_same_amplitudes(state, ref)
+    for side, pick, basis in (("A", 0, pa.exemplars), ("B", 1, pb.exemplars)):
+        want = ref_marginal(ref, basis, pick)
+        got = marginal(state, side).probabilities
+        assert list(got) == list(want)
+        assert max(abs(got[x] - want[x]) for x in want) <= 1e-12
+        for exemplar in {pair[pick] for pair in ref}:
+            collapsed = conditional_collapse(state, side, exemplar)
+            assert_same_amplitudes(collapsed, ref_collapse(ref, pick, exemplar))
+    value = joint_expectation(
+        state, Observable(pa.exemplars, signs_a), Observable(pb.exemplars, signs_b)
+    )
+    assert value == pytest.approx(ref_joint_expectation(ref, signs_a, signs_b), abs=1e-12)
+
+
+@st.composite
+def combinations(draw):
+    """Two distributions with some zero-probability exemplars, a relation
+    between them, and a sign observable on each side."""
+    sides = []
+    for prefix in ("a", "b"):
+        n = draw(st.integers(1, 6))
+        labels = tuple(f"{prefix}{i}" for i in range(n))
+        weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        if not any(weights):
+            weights[draw(st.integers(0, n - 1))] = 1
+        total = sum(weights)
+        probs = {x: w / total for x, w in zip(labels, weights)}
+        signs = dict(zip(labels, draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))))
+        sides.append((ContextDistribution(f"context {prefix}", probs), signs))
+    (pa, signs_a), (pb, signs_b) = sides
+    pairs = draw(
+        st.lists(
+            st.sampled_from(list(itertools.product(pa.exemplars, pb.exemplars))),
+            min_size=1,
+            unique=True,
+        )
+    )
+    return pa, pb, CompatibilityRelation(tuple(pairs)), signs_a, signs_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(combinations())
+def test_array_kernels_match_the_dict_reference(case):
+    assert_matches_reference(*case)
+
+
+def benchmark_shape(rng, n, partners):
+    """A rating column per side (uniform in [0.05, 5], 10% zeros), a relation
+    with ``partners`` right exemplars per left one (all of them if None)."""
+    dists, signs = [], []
+    for prefix in ("a", "b"):
+        labels = tuple(f"{prefix}{i:04d}" for i in range(n))
+        ratings = rng.uniform(0.05, 5.0, n) * (rng.random(n) >= 0.1)
+        probs = ratings / ratings.sum()
+        dists.append(ContextDistribution(prefix, dict(zip(labels, probs.tolist()))))
+        signs.append(dict(zip(labels, rng.choice([1, -1], n).tolist())))
+    left, right = dists[0].exemplars, dists[1].exemplars
+    if partners is None:
+        pairs = tuple(itertools.product(left, right))
+    else:
+        pairs = tuple(
+            (x, right[j]) for x in left for j in rng.choice(n, partners, replace=False)
+        )
+    return dists[0], dists[1], CompatibilityRelation(pairs), signs[0], signs[1]
+
+
+@pytest.mark.parametrize("n, partners", [(300, None), (3000, 3)])
+def test_array_kernels_match_the_dict_reference_at_benchmark_scale(n, partners):
+    pa, pb, relation, signs_a, signs_b = benchmark_shape(
+        np.random.default_rng(n), n, partners
+    )
+    ref = ref_combine(pa, pb, relation)
+    state = combine(pa, pb, relation)
+    assert_same_amplitudes(state, ref)
+    for side, pick, basis in (("A", 0, pa.exemplars), ("B", 1, pb.exemplars)):
+        want = ref_marginal(ref, basis, pick)
+        got = marginal(state, side).probabilities
+        assert max(abs(got[x] - want[x]) for x in want) <= 1e-12
+        exemplar = next(iter(ref))[pick]
+        collapsed = conditional_collapse(state, side, exemplar)
+        assert_same_amplitudes(collapsed, ref_collapse(ref, pick, exemplar))
+    value = joint_expectation(
+        state, Observable(pa.exemplars, signs_a), Observable(pb.exemplars, signs_b)
+    )
+    assert value == pytest.approx(ref_joint_expectation(ref, signs_a, signs_b), abs=1e-12)
+
+
+def test_states_are_freed_without_the_cycle_collector():
+    # A reference from the amplitude view back to its state would make a
+    # cycle; large states would then live until the cyclic collector runs.
+    gc.disable()
+    try:
+        combined, _, _ = uniform_pet_food()
+        collapsed = conditional_collapse(combined, "A", "Roller")
+        built = EntangledState(("x",), ("y",), {("x", "y"): 1.0})
+        refs = [weakref.ref(s) for s in (combined, collapsed, built)]
+        assert all(len(s.amplitudes) for s in (combined, collapsed, built))
+        del combined, collapsed, built
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_amplitude_view_holds_the_support_in_relation_order():
+    pa = dist("a", x=0.5, y=0.0, z=0.5)
+    pb = dist("b", u=0.25, v=0.75)
+    relation = CompatibilityRelation(
+        (("z", "v"), ("y", "u"), ("x", "v"), ("z", "u"), ("x", "u"))
+    )
+    state = combine(pa, pb, relation)
+    expected = [("z", "v"), ("x", "v"), ("z", "u"), ("x", "u")]  # y has p = 0
+    assert len(state.amplitudes) == len(expected)
+    assert list(state.amplitudes) == expected
+    assert all(isinstance(pair, tuple) for pair in state.amplitudes)
+    assert ("y", "u") not in state.amplitudes
+    assert state.amplitude("y", "u") == 0j
+    assert state.support == set(expected)
+    built = EntangledState(("p", "q"), ("r",), {("q", "r"): 0.0, ("p", "r"): -1.0})
+    assert len(built.amplitudes) == 1
+    assert list(built.amplitudes.items()) == [(("p", "r"), -1.0 + 0j)]

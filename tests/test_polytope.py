@@ -391,6 +391,32 @@ def test_classify_intermediate_patterns():
     assert classify(table([[0.8, -0.8], [0.8, 0.8]])) == SUPRA_QUANTUM
 
 
+def test_classify_uses_the_exact_slack_at_the_facet():
+    # The plain float sum of E00 + E01 + E10 - E11 rounds 2 + 2**-54 to 2.0;
+    # the exact slack is negative, so the table is not classical.
+    t = table([[1.0, 0.75], [0.25 + 2.0**-54, 0.0]])
+    assert bell_value_all_forms(t) == 2.0
+    assert classify(t) == QUANTUM_ACHIEVABLE
+    assert not is_kolmogorovian(t)
+    assert not realizable(t).feasible
+
+
+@pytest.mark.parametrize("side", (1, -1))
+@pytest.mark.parametrize("delta", (1e-14, 1e-13, *DELTAS))
+def test_classify_agrees_with_realizable_at_the_chsh_facet(delta, side):
+    signs = (1, 1, 1, -1)
+    push = np.r_[np.array(signs) * side * delta / 4.0, np.zeros(4)]
+    rng = np.random.default_rng([3, round(-math.log10(delta)), side + 1])
+    for _ in range(10):
+        t = facet_table(
+            rng, lambda s: np.dot(signs, s.joint_products()) == 2, push, False
+        )
+        feasible = realizable(t).feasible
+        assert feasible == (side < 0)
+        assert (classify(t) == CLASSICAL) == feasible
+        assert is_kolmogorovian(t) == feasible
+
+
 def test_tsirelson_bound_constant():
     assert TSIRELSON_BOUND == 2.0 * math.sqrt(2.0)
 
