@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import CorrelationTable, bell_value_all_forms, CHSH_FORMS
+from .bell import CorrelationTable, CHSH_FORMS
 
 #: Largest functional value reachable by tensor-product measurements on a
 #: shared quantum state.
@@ -270,10 +270,12 @@ def classify(table: CorrelationTable, tol: float = 1e-12) -> str:
 
     "Classical" is decided from the exact CHSH slacks, as in realizable(),
     so the two agree at the facet; singles play no part. Above it, the
-    all-forms value splits the bands at 2*sqrt(2), within ``tol``.
+    largest form value, 2 minus the smallest slack (the forms are closed
+    under a global sign flip), splits the bands at 2*sqrt(2), within ``tol``.
     """
-    if min(_chsh_slacks(table.joints_flat())) >= 0.0:
+    slack = min(_chsh_slacks(table.joints_flat()))
+    if slack >= 0.0:
         return CLASSICAL
-    if bell_value_all_forms(table) <= TSIRELSON_BOUND + tol:
+    if 2.0 - slack <= TSIRELSON_BOUND + tol:
         return QUANTUM_ACHIEVABLE
     return SUPRA_QUANTUM
