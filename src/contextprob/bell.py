@@ -208,16 +208,36 @@ class SweepPoint:
 
 
 def sweep_mixing(grid: Sequence[float]) -> list[SweepPoint]:
-    """Evaluate the pet-food functional over a grid of mixing probabilities."""
-    points: list[SweepPoint] = []
+    """Evaluate the pet-food functional over a grid of mixing probabilities.
+
+    The whole grid is checked and evaluated as arrays, with the same float
+    operations, in the same order, as ``bell_value(pet_food_table(...))``
+    on one point, so every value is bit-identical to that route.
+    """
+    probs = _mixing_grid(grid)
+    values = np.abs((2.0 * probs - 1.0) - 1.0) + abs(1.0 + 1.0)
+    return [
+        SweepPoint(p, v, is_violated(v))
+        for p, v in zip(probs.tolist(), values.tolist())
+    ]
+
+
+def _mixing_grid(grid: Sequence[float]) -> np.ndarray:
+    """The grid as a float array, every point checked as a mixing probability."""
+    try:
+        probs = np.asarray(grid, dtype=float)
+        if probs.ndim == 1 and np.all((probs >= 0.0) & (probs <= 1.0)):
+            return probs
+    except (TypeError, ValueError):
+        pass
+    # Some point is bad or not a number: check one at a time to name the first.
+    checked = []
     for i, p in enumerate(grid):
         try:
-            scenario = PetFoodScenario(p)
+            checked.append(PetFoodScenario(p).odd_event_probability)
         except ValueError as exc:
             raise ValueError(f"grid point {i}: {exc}") from None
-        value = bell_value(pet_food_table(scenario))
-        points.append(SweepPoint(scenario.odd_event_probability, value, is_violated(value)))
-    return points
+    return np.array(checked, dtype=float)
 
 
 def load_scenario(path: str | Path) -> CorrelationTable:

@@ -27,6 +27,10 @@ SCHEMA_VERSION = 1
 #: Most points a sweep grid may hold; the report keeps one record per point.
 MAX_GRID_POINTS = 1_000_000
 
+#: How far past its stop a grid point may fall and still be kept, so that
+#: rounding in start + k * step does not drop the last point.
+GRID_SLACK = 1e-9
+
 
 def _digest(path: str | Path) -> str:
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -114,7 +118,7 @@ def _cmd_bell(args):
     results = {
         "bell_value": value,
         "all_forms_value": bell.bell_value_all_forms(table),
-        "violated": bell.is_violated(value),
+        "violated": _primary_violated(table),
         "classification": polytope.classify(table),
         "product_equality": product,
         "table": _table_record(table),
@@ -122,7 +126,23 @@ def _cmd_bell(args):
     return results, inputs, None
 
 
-def _parse_grid(text: str) -> list[float]:
+def _primary_violated(table: bell.CorrelationTable) -> bool:
+    """Whether |E00 - E01| + |E10 + E11| exceeds 2, decided exactly.
+
+    The functional is the largest of the four sign forms a(E00 - E01) +
+    b(E10 + E11); each slack is summed with ``math.fsum``, as the slacks
+    behind ``classification`` are, so a table just past the facet reads
+    violated even where the float sum gives 2.
+    """
+    e00, e01, e10, e11 = table.joints_flat()
+    return any(
+        math.fsum((2.0, -a * e00, a * e01, -b * e10, -b * e11)) < 0.0
+        for a in (1, -1)
+        for b in (1, -1)
+    )
+
+
+def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
@@ -138,17 +158,15 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid stop {stop} is below start {start}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
-    if (stop - start) / step >= MAX_GRID_POINTS:
+    # The last point may overshoot stop by the slack, so the slack counts too.
+    bound = stop + GRID_SLACK
+    span = (bound - start) / step
+    if span >= MAX_GRID_POINTS:
         raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    values: list[float] = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-9:
-            break
-        values.append(min(v, 1.0))
-        k += 1
-    return values
+    # start + k * step for k = 0, 1, ... while within the slack, clipped at 1;
+    # the values rise with k, so those within are a prefix.
+    values = start + np.arange(int(span) + 2) * step
+    return np.minimum(values[values <= bound], 1.0)
 
 
 def _cmd_sweep(args):
@@ -413,8 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         lines = [json.dumps(report, indent=2, sort_keys=True)]
     try:
-        for line in lines:
-            print(line)
+        sys.stdout.write("\n".join(lines) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe (say, `| head`). Send the rest to

@@ -229,6 +229,28 @@ def test_sweep_reports_offending_grid_point():
         sweep_mixing([0.5, 1.5])
 
 
+def test_sweep_matches_the_per_point_route_bit_for_bit():
+    rng = np.random.default_rng(43)
+    extremes = [0.0, -0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0]
+    grid = [*rng.uniform(0, 1, size=2000).tolist(), *extremes]
+    for given in (grid, np.array(grid)):
+        points = sweep_mixing(given)
+        assert len(points) == len(grid)
+        for p, point in zip(grid, points):
+            value = bell_value(pet_food_table(PetFoodScenario(p)))
+            assert point.odd_event_probability.hex() == p.hex()
+            assert point.bell_value.hex() == value.hex()
+            assert point.violated is is_violated(value)
+
+
+def test_sweep_names_the_first_bad_point():
+    grid = [0.25] * 500 + [math.nan, 2.0]
+    with pytest.raises(ValueError, match=r"^grid point 500: .*got nan$"):
+        sweep_mixing(grid)
+    with pytest.raises(ValueError, match=r"^grid point 2: could not convert"):
+        sweep_mixing([0.0, "0.5", "half"])
+
+
 def test_sweep_is_affine_with_slope_minus_two():
     rng = np.random.default_rng(29)
     grid = sorted(rng.uniform(0, 1, size=40))

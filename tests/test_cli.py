@@ -125,6 +125,29 @@ def test_bell_has_no_tsv_format(capsys):
     assert "not available" in err
 
 
+@pytest.mark.parametrize(
+    "e10, violated, classification",
+    [
+        (0.25 + 2**-54, True, "quantum-achievable"),
+        (0.25, False, "classical"),
+        (0.25 - 2**-54, False, "classical"),
+    ],
+)
+def test_bell_violated_is_decided_from_the_exact_slack(
+    capsys, tmp_path, e10, violated, classification
+):
+    # |1 + 0.75| + |e10| is 2 plus or minus 2**-54, which the float sum
+    # rounds to 2.0 on every row.
+    scenario = tmp_path / "edge.json"
+    scenario.write_text(json.dumps({"joint": [[1.0, -0.75], [e10, 0.0]]}))
+    results = run_report(capsys, ["bell", "--scenario", str(scenario)])["results"]
+    assert results["bell_value"] == 2.0
+    assert results["violated"] is violated
+    assert results["classification"] == classification
+    kolmo = run_report(capsys, ["kolmo", "--scenario", str(scenario)])["results"]
+    assert kolmo["feasible"] is not violated
+
+
 # ---------------------------------------------------------------------- sweep
 
 
@@ -162,6 +185,15 @@ def test_sweep_grid_rejects_non_finite_and_oversized_grids(capsys):
         assert code == 1, bad
         assert err.startswith("error: grid values must be finite"), bad
     for bad in ("0:1:1e-12", "0:1:5e-324", "0:1:1e-6"):
+        code, _, err = run(capsys, ["sweep", "--grid", bad])
+        assert code == 1, bad
+        assert err.startswith("error:") and "more than 1000000 points" in err, bad
+
+
+def test_sweep_grid_cap_counts_the_slack_past_stop(capsys):
+    # A zero-width grid keeps every point within 1e-9 of its stop, so a
+    # tiny step would otherwise mean about 1e-9 / step points.
+    for bad in ("0.5:0.5:1e-300", "0:0:1e-15"):
         code, _, err = run(capsys, ["sweep", "--grid", bad])
         assert code == 1, bad
         assert err.startswith("error:") and "more than 1000000 points" in err, bad

@@ -1,9 +1,15 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from contextprob.cli import main
 from contextprob.fixtures import fixture_path
 from contextprob.semspace import (
+    GRAM_RELATIVE_FLOOR,
     TermDocMatrix,
     bow_vector,
     build_matrix,
@@ -33,6 +39,65 @@ def gram_singular_values(counts):
     gram = counts.T @ counts
     eigenvalues = np.linalg.eigvalsh(gram)[::-1]
     return np.sqrt(np.clip(eigenvalues, 0.0, None))
+
+
+def counter_matrix(corpus):
+    """Independent route: per-document Counters over first-seen terms."""
+    terms = list(dict.fromkeys(tok for _, tokens in corpus for tok in tokens))
+    per_doc = [Counter(tokens) for _, tokens in corpus]
+    return terms, np.array([[c[t] for c in per_doc] for t in terms], dtype=np.int64)
+
+
+def lapack_reference(counts):
+    """Reference singular values: LAPACK's full SVD of the count matrix."""
+    return np.linalg.svd(counts.astype(float), compute_uv=False)
+
+
+def labelled(counts):
+    m, n = counts.shape
+    return TermDocMatrix(
+        tuple(f"t{i}" for i in range(m)), tuple(f"d{j}" for j in range(n)), counts
+    )
+
+
+def assert_near_optimal(space, counts, residual_tol):
+    """Singular values, optimality of the residual and orthonormal factors."""
+    k = space.rank
+    s_ref = lapack_reference(counts)
+    s1 = s_ref[0]
+    assert np.all(np.abs(space.singular_values - s_ref[:k]) <= 1e-12 * s1)
+    residual = np.linalg.norm(counts - space.reconstruct())
+    optimum = np.sqrt(np.sum(s_ref[k:] ** 2))
+    assert abs(residual - optimum) <= residual_tol * s1
+    for factor in (space.word_vectors, space.doc_vectors):
+        assert np.max(np.abs(factor.T @ factor - np.eye(k))) <= 1e-12
+
+
+@st.composite
+def count_matrices(draw):
+    """Nonzero integer count matrices, tall or wide, some low-rank, some with
+    repeated columns, and a rank to truncate them at."""
+    m = draw(st.integers(1, 14))
+    n = draw(st.integers(1, 14))
+    kind = draw(st.sampled_from(("dense", "low_rank", "repeated_columns")))
+    if kind == "low_rank":
+        r = draw(st.integers(1, min(m, n)))
+        left = draw(arrays(np.int64, (m, r), elements=st.integers(0, 5)))
+        counts = left @ draw(arrays(np.int64, (r, n), elements=st.integers(0, 5)))
+    else:
+        counts = draw(arrays(np.int64, (m, n), elements=st.integers(0, 30)))
+        if kind == "repeated_columns":
+            counts = counts[:, draw(arrays(np.int64, (n,), elements=st.integers(0, n - 1)))]
+    assume(counts.any())
+    return counts, draw(st.integers(1, min(m, n)))
+
+
+#: Small corpora over a few letters, so tokens repeat; documents may be empty.
+corpora = st.lists(
+    st.lists(st.text(alphabet="abcXY", min_size=1, max_size=3), max_size=12),
+    min_size=1,
+    max_size=8,
+).map(lambda docs: [(f"doc{i}", tokens) for i, tokens in enumerate(docs)])
 
 
 def flat_index_oracle(tokens, vocab):
@@ -100,6 +165,35 @@ def test_duplicate_document_label_is_rejected():
         build_matrix([("doc1", ["a"]), ("doc1", ["b"])])
 
 
+@settings(max_examples=200, deadline=None)
+@given(corpora)
+def test_counts_match_a_counter_reference(corpus):
+    terms, expected = counter_matrix(corpus)
+    assume(terms)
+    m = build_matrix(corpus)
+    assert m.terms == tuple(terms)
+    assert m.docs == tuple(label for label, _ in corpus)
+    assert m.counts.dtype == np.int64
+    assert np.array_equal(m.counts, expected)
+
+
+@pytest.mark.parametrize(
+    "token, shown",
+    [(3, "3"), (None, "None"), ("", "''"), (["a"], "['a']"), ({"a": 1}, "{'a': 1}")],
+)
+def test_bad_token_error_is_a_value_error_naming_the_token(token, shown):
+    corpus = [("doc1", ["a", "b"]), ("doc2", ["a", token, "c", ""])]
+    message = f"document 'doc2' contains a non-string or empty token: {shown}"
+    with pytest.raises(ValueError) as info:
+        build_matrix(corpus)
+    assert str(info.value) == message
+
+
+def test_corpus_of_empty_documents_has_no_tokens():
+    with pytest.raises(ValueError, match="corpus has no tokens"):
+        build_matrix([("doc1", []), ("doc2", [])])
+
+
 # --------------------------------------------------------------- svd_truncate
 
 
@@ -134,6 +228,81 @@ def test_reconstruction_error_shrinks_with_rank(toy_matrix):
         space = svd_truncate(toy_matrix, k)
         errors.append(np.linalg.norm(space.reconstruct() - toy_matrix.counts))
     assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_matrices())
+def test_truncation_matches_lapack(case):
+    counts, k = case
+    assert_near_optimal(svd_truncate(labelled(counts), k), counts, 1e-9)
+
+
+def test_tiny_kept_singular_value_takes_the_lapack_route():
+    # Rank exactly 2 with s2/s1 ~ 1e-6: the Gram matrix squares that to
+    # 1e-12, where its eigenvectors lose about half their digits, and the
+    # residual would exceed the optimum by ~1e-10 s1. LAPACK stays at ~1e-15.
+    x1, y1 = np.array([1, 2, 0, 1, 3, 1]), np.array([2, 1, 1, 3])
+    x2, y2 = np.array([0, 1, 1, 2, 0, 1]), np.array([1, 0, 2, 1])
+    counts = 250_000 * np.outer(x1, y1) + np.outer(x2, y2)
+    s_ref = lapack_reference(counts)
+    assert 5e-7 < s_ref[1] / s_ref[0] < 2e-6 and s_ref[2] < 1e-12 * s_ref[0]
+    assert s_ref[1] / s_ref[0] < GRAM_RELATIVE_FLOOR
+    space = svd_truncate(labelled(counts), 2)
+    u, s, vt = np.linalg.svd(counts.astype(float), full_matrices=False)
+    assert np.array_equal(space.word_vectors, u[:, :2])
+    assert np.array_equal(space.singular_values, s[:2])
+    assert np.array_equal(space.doc_vectors, vt[:2].T)
+    assert_near_optimal(space, counts, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv, results",
+    [
+        (
+            [],
+            {
+                "comparison": None,
+                "docs": 5,
+                "rank": 5,
+                "similarity": None,
+                "singular_values": [
+                    2.96115862299861,
+                    2.0538786528575526,
+                    1.5399943681428627,
+                    1.2812257548399844,
+                    2.4773369419108665e-16,
+                ],
+                "terms": 8,
+            },
+        ),
+        (
+            ["--rank", "2", "--pair", "mary", "john"],
+            {
+                "comparison": None,
+                "docs": 5,
+                "rank": 2,
+                "similarity": {"terms": ["mary", "john"], "value": 0.7910540056128574},
+                "singular_values": [2.96115862299861, 2.0538786528575526],
+                "terms": 8,
+            },
+        ),
+    ],
+)
+def test_toy_corpus_report_is_unchanged(capsys, argv, results):
+    # Stored from the report of the full-SVD implementation.
+    assert main(["semspace", "--corpus", str(fixture_path("toy_corpus.txt")), *argv]) == 0
+    got = json.loads(capsys.readouterr().out)["results"]
+    assert got.keys() == results.keys()
+    assert np.allclose(got["singular_values"], results["singular_values"], rtol=0, atol=1e-12)
+    for key in ("comparison", "docs", "rank", "terms"):
+        assert got[key] == results[key]
+    if results["similarity"] is None:
+        assert got["similarity"] is None
+    else:
+        assert got["similarity"]["terms"] == results["similarity"]["terms"]
+        assert got["similarity"]["value"] == pytest.approx(
+            results["similarity"]["value"], rel=0, abs=1e-12
+        )
 
 
 def test_rank_out_of_range(toy_matrix):
