@@ -72,6 +72,7 @@ from .polytope import (
     classify,
     enumerate_strategies,
     is_kolmogorovian,
+    primary_violated,
     realizable,
 )
 from .semspace import (
@@ -147,6 +148,7 @@ __all__ = [
     "classify",
     "enumerate_strategies",
     "is_kolmogorovian",
+    "primary_violated",
     "realizable",
     # semspace
     "TermDocMatrix",

@@ -118,28 +118,12 @@ def _cmd_bell(args):
     results = {
         "bell_value": value,
         "all_forms_value": bell.bell_value_all_forms(table),
-        "violated": _primary_violated(table),
+        "violated": polytope.primary_violated(table),
         "classification": polytope.classify(table),
         "product_equality": product,
         "table": _table_record(table),
     }
     return results, inputs, None
-
-
-def _primary_violated(table: bell.CorrelationTable) -> bool:
-    """Whether |E00 - E01| + |E10 + E11| exceeds 2, decided exactly.
-
-    The functional is the largest of the four sign forms a(E00 - E01) +
-    b(E10 + E11); each slack is summed with ``math.fsum``, as the slacks
-    behind ``classification`` are, so a table just past the facet reads
-    violated even where the float sum gives 2.
-    """
-    e00, e01, e10, e11 = table.joints_flat()
-    return any(
-        math.fsum((2.0, -a * e00, a * e01, -b * e10, -b * e11)) < 0.0
-        for a in (1, -1)
-        for b in (1, -1)
-    )
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -343,6 +327,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sp = add("sweep", "sweep the pet-food mixing probability", _cmd_sweep)
+    sp.epilog = (
+        "A point's 'violated' compares its rounded functional value with "
+        "2 + 1e-12, so within 1e-12 of the ceiling it can read false where "
+        "'bell --odd-event' at the same probability, which decides from the "
+        "exact slacks, reads true."
+    )
     sp.add_argument(
         "--grid",
         required=True,

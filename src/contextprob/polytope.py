@@ -265,6 +265,22 @@ def is_kolmogorovian(table: CorrelationTable) -> bool:
     return classify(table) == CLASSICAL
 
 
+def primary_violated(table: CorrelationTable) -> bool:
+    """Whether |E00 - E01| + |E10 + E11| exceeds 2, decided exactly.
+
+    That functional is the largest of the four CHSH forms a(E00 - E01) +
+    b(E10 + E11), the sign tuples (a, -a, b, b); it is violated when one of
+    their exact slacks is negative, so a table just past the facet reads
+    violated even where the float sum of the functional gives 2.
+    """
+    slacks = _chsh_slacks(table.joints_flat())
+    return any(
+        slack < 0.0
+        for (s0, s1, s2, s3), slack in zip(CHSH_FORMS, slacks)
+        if s1 == -s0 and s2 == s3
+    )
+
+
 def classify(table: CorrelationTable, tol: float = 1e-12) -> str:
     """Band of the joints: classical, quantum-achievable, supra-quantum.
 

@@ -24,6 +24,10 @@ DEFAULT_ORDER_BUDGET = 1_000_000
 #: ``svd_truncate`` trusts the Gram-matrix route; below it LAPACK's SVD is used.
 GRAM_RELATIVE_FLOOR = 1e-4
 
+#: Largest rank, as a fraction of the shorter side, for which ``svd_truncate``
+#: takes the Gram-matrix route; above it LAPACK's SVD is cheaper.
+GRAM_MAX_RANK_FRACTION = 0.4
+
 
 @dataclass(frozen=True, eq=False)
 class TermDocMatrix:
@@ -158,42 +162,38 @@ def build_matrix(corpus: Sequence[tuple[str, Sequence[str]]]) -> TermDocMatrix:
 def svd_truncate(matrix: TermDocMatrix, k: int) -> SemanticSpace:
     """Best rank-k least-squares approximation of the count matrix.
 
-    Only the k kept factors are computed. With ``a`` the count matrix,
+    For a rank k up to ``GRAM_MAX_RANK_FRACTION`` (0.4) of the shorter side
+    n, only the k kept factors are computed. With ``a`` the count matrix,
     transposed if needed so that its n columns are the shorter side, the
     top k eigenvectors of the n x n Gram matrix ``a.T @ a`` span the
     right singular subspace. A Rayleigh-Ritz step, the thin SVD of the
     m x k matrix ``a @ V``, then gives the singular values of ``a`` on that
     subspace (sorted, nonnegative), the left vectors, and rotates ``V`` to
     match; both factors come out orthonormal to rounding and no singular
-    value is divided by.
+    value is divided by. Above that rank the full eigendecomposition and the
+    Ritz step cost more than LAPACK's thin SVD (on 800 x 3977 counts the
+    two break even near k = 0.7 n; on smaller and squarer matrices near
+    0.4 n), so the full SVD is taken and truncated.
 
     The Gram matrix squares the spectrum, so a direction whose singular
     value is tiny next to the largest one is resolved only loosely. When the
     smallest kept value falls below ``GRAM_RELATIVE_FLOOR`` (1e-4) times the
-    largest, the full LAPACK SVD of the count matrix is taken instead, as
-    for a rank-deficient matrix truncated at full rank. Against LAPACK on
-    3,000 random integer matrices up to 39 x 39 (tall, wide, low-rank,
-    repeated columns, sparse with a wide range) the singular values agree to
-    2.5e-15 of the largest, and the reconstruction error exceeds the optimum
-    by at most 6e-14 of it.
+    largest, the full LAPACK SVD of the count matrix is taken instead.
+    Against LAPACK on 3,000 random integer matrices up to 39 x 39 (tall,
+    wide, low-rank, repeated columns, sparse with a wide range) the singular
+    values agree to 2.5e-15 of the largest, and the reconstruction error
+    exceeds the optimum by at most 6e-14 of it.
     """
     max_k = min(len(matrix.terms), len(matrix.docs))
     if not 1 <= int(k) <= max_k:
         raise ValueError(f"rank must be between 1 and {max_k}, got {k!r}")
     k = int(k)
     counts = matrix.counts.astype(float)
-    transposed = counts.shape[0] < counts.shape[1]
-    a = counts.T if transposed else counts
-    _, eigenvectors = np.linalg.eigh(a.T @ a)
-    v = eigenvectors[:, : -k - 1 : -1]
-    u, s, wt = np.linalg.svd(a @ v, full_matrices=False)
-    if s[-1] < GRAM_RELATIVE_FLOOR * s[0]:
+    factors = _gram_factors(counts, k) if k <= GRAM_MAX_RANK_FRACTION * max_k else None
+    if factors is None:
         u, s, vt = np.linalg.svd(counts, full_matrices=False)
-        u, s, v = u[:, :k], s[:k], vt[:k].T
-    else:
-        v = v @ wt.T
-        if transposed:
-            u, v = v, u
+        factors = u[:, :k], s[:k], vt[:k].T
+    u, s, v = factors
     return SemanticSpace(
         rank=k,
         terms=matrix.terms,
@@ -202,6 +202,19 @@ def svd_truncate(matrix: TermDocMatrix, k: int) -> SemanticSpace:
         singular_values=s,
         doc_vectors=v,
     )
+
+
+def _gram_factors(counts: np.ndarray, k: int):
+    """The top-k (u, s, v) through the Gram matrix, or None below the floor."""
+    transposed = counts.shape[0] < counts.shape[1]
+    a = counts.T if transposed else counts
+    _, eigenvectors = np.linalg.eigh(a.T @ a)
+    v = eigenvectors[:, : -k - 1 : -1]
+    u, s, wt = np.linalg.svd(a @ v, full_matrices=False)
+    if s[-1] < GRAM_RELATIVE_FLOOR * s[0]:
+        return None
+    v = v @ wt.T
+    return (v, s, u) if transposed else (u, s, v)
 
 
 def similarity(space: SemanticSpace, term1: str, term2: str) -> float:

@@ -172,6 +172,19 @@ def test_sweep_tsv(capsys):
     assert lines[5] == "1.0\t2.0\tfalse"
 
 
+def test_bell_and_sweep_differ_only_by_the_sweep_tolerance(capsys):
+    # At p = 1 - 2**-53 the functional is 2 + 2**-52, which rounds to 2.0:
+    # bell decides from the exact slack, sweep compares with 2 + 1e-12.
+    p = 1.0 - 2.0**-53
+    bell_results = run_report(capsys, ["bell", "--odd-event", repr(p)])["results"]
+    assert bell_results["bell_value"] == 2.0
+    assert bell_results["violated"] is True
+    sweep = run_report(capsys, ["sweep", "--grid", f"{p!r}:{p!r}:1"])["results"]
+    assert sweep["points"] == [
+        {"odd_event_probability": p, "bell_value": 2.0, "violated": False}
+    ]
+
+
 def test_sweep_grid_validation(capsys):
     for bad in ("0:2:0.5", "1:0:0.5", "0:1:0", "0:1", "a:b:c"):
         code, _, err = run(capsys, ["sweep", "--grid", bad])

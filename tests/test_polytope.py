@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from contextprob.polytope import (
     classify,
     enumerate_strategies,
     is_kolmogorovian,
+    primary_violated,
     realizable,
 )
 
@@ -415,6 +417,24 @@ def test_classify_agrees_with_realizable_at_the_chsh_facet(delta, side):
         assert feasible == (side < 0)
         assert (classify(t) == CLASSICAL) == feasible
         assert is_kolmogorovian(t) == feasible
+
+
+def test_primary_violated_matches_exact_rational_arithmetic():
+    # The oracle evaluates |E00 - E01| + |E10 + E11| > 2 in Fractions.
+    rng = np.random.default_rng(59)
+    tiny = (0.0, 2.0**-54, -(2.0**-54), 2.0**-53, -(2.0**-53))
+    cases = [[[1.0, -0.75], [0.25 + d, 0.0]] for d in tiny]
+    cases += [[[1.0, 0.75], [0.25 + d, 0.0]] for d in tiny]
+    for _ in range(200):
+        joint = rng.uniform(-1, 1, size=(2, 2))
+        joint[1, 1] = 2.0 - abs(joint[0, 0] - joint[0, 1]) - joint[1, 0]
+        joint[1, 1] = min(max(joint[1, 1] + rng.choice(tiny), -1.0), 1.0)
+        cases.append(joint.tolist())
+    cases += rng.uniform(-1, 1, size=(200, 2, 2)).tolist()
+    for joint in cases:
+        (e00, e01), (e10, e11) = (map(Fraction, row) for row in joint)
+        exact = abs(e00 - e01) + abs(e10 + e11) > 2
+        assert primary_violated(table(joint)) is exact, joint
 
 
 def test_tsirelson_bound_constant():

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from contextprob.cli import main
 from contextprob.fixtures import fixture_path
 from contextprob.semspace import (
+    GRAM_MAX_RANK_FRACTION,
     GRAM_RELATIVE_FLOOR,
     TermDocMatrix,
     bow_vector,
@@ -237,22 +238,41 @@ def test_truncation_matches_lapack(case):
     assert_near_optimal(svd_truncate(labelled(counts), k), counts, 1e-9)
 
 
+def assert_lapack_route(space, counts):
+    """The space is LAPACK's full SVD truncated, bit for bit."""
+    k = space.rank
+    u, s, vt = np.linalg.svd(counts.astype(float), full_matrices=False)
+    assert np.array_equal(space.word_vectors, u[:, :k])
+    assert np.array_equal(space.singular_values, s[:k])
+    assert np.array_equal(space.doc_vectors, vt[:k].T)
+
+
 def test_tiny_kept_singular_value_takes_the_lapack_route():
     # Rank exactly 2 with s2/s1 ~ 1e-6: the Gram matrix squares that to
     # 1e-12, where its eigenvectors lose about half their digits, and the
     # residual would exceed the optimum by ~1e-10 s1. LAPACK stays at ~1e-15.
-    x1, y1 = np.array([1, 2, 0, 1, 3, 1]), np.array([2, 1, 1, 3])
-    x2, y2 = np.array([0, 1, 1, 2, 0, 1]), np.array([1, 0, 2, 1])
-    counts = 250_000 * np.outer(x1, y1) + np.outer(x2, y2)
+    x1, y1 = np.array([1, 2, 0, 1, 3, 1, 2, 0]), np.array([2, 1, 1, 3, 0, 2])
+    x2, y2 = np.array([0, 1, 1, 2, 0, 1, 0, 3]), np.array([1, 0, 2, 1, 3, 1])
+    counts = 500_000 * np.outer(x1, y1) + np.outer(x2, y2)
     s_ref = lapack_reference(counts)
     assert 5e-7 < s_ref[1] / s_ref[0] < 2e-6 and s_ref[2] < 1e-12 * s_ref[0]
     assert s_ref[1] / s_ref[0] < GRAM_RELATIVE_FLOOR
+    # The rank alone would choose the Gram route; only the floor turns it away.
+    assert 2 <= GRAM_MAX_RANK_FRACTION * min(counts.shape)
     space = svd_truncate(labelled(counts), 2)
-    u, s, vt = np.linalg.svd(counts.astype(float), full_matrices=False)
-    assert np.array_equal(space.word_vectors, u[:, :2])
-    assert np.array_equal(space.singular_values, s[:2])
-    assert np.array_equal(space.doc_vectors, vt[:2].T)
+    assert_lapack_route(space, counts)
     assert_near_optimal(space, counts, 1e-12)
+
+
+@pytest.mark.parametrize("shape", [(9, 5), (5, 9), (6, 6)])
+def test_rank_above_the_gram_fraction_takes_the_lapack_route(shape):
+    counts = np.random.default_rng(47).integers(0, 9, size=shape)
+    n = min(shape)
+    for k in range(1, n + 1):
+        space = svd_truncate(labelled(counts), k)
+        if k > GRAM_MAX_RANK_FRACTION * n:
+            assert_lapack_route(space, counts)
+        assert_near_optimal(space, counts, 1e-12)
 
 
 @pytest.mark.parametrize(
