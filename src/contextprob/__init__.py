@@ -10,8 +10,8 @@ semantic space module rounds out the text-side demos.
 
 __version__ = "0.1.0"
 
+from ._tolerance import DEFAULT_TOL
 from .hilbert import (
-    DEFAULT_TOL,
     Observable,
     Projector,
     StateVector,
@@ -90,8 +90,9 @@ from .fixtures import fixture_names, fixture_path
 
 __all__ = [
     "__version__",
-    # hilbert
+    # tolerances
     "DEFAULT_TOL",
+    # hilbert
     "StateVector",
     "Observable",
     "Projector",

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ._labels import distinct_labels
+from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL
 
 #: All eight sign placements: one minus among the four terms, up to a
 #: global flip, i.e. every sign tuple with an odd number of -1 entries.
@@ -117,9 +118,10 @@ def bell_value_all_forms(table: CorrelationTable) -> float:
     )
 
 
-def is_violated(value: float, tol: float = 1e-12) -> bool:
-    """Whether a functional value exceeds the classical ceiling of 2."""
-    return float(value) > 2.0 + tol
+def is_violated(value: float) -> bool:
+    """Whether a functional value exceeds the classical ceiling of 2
+    by more than ``DEFAULT_TOL``."""
+    return float(value) > 2.0 + DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ class ProductEqualityResult:
 def product_equality_check(
     singles: Sequence[float],
     joints: Sequence[float],
-    tol: float = 1e-9,
+    tol: float = RESIDUAL_TOL,
 ) -> ProductEqualityResult:
     """Check each joint against the product of its two singles.
 

@@ -21,15 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bell, concepts, entangle, polytope, semspace
+from ._tolerance import DEFAULT_TOL, GRID_SLACK, RESIDUAL_TOL, WEIGHT_CUTOFF
 
 SCHEMA_VERSION = 1
 
 #: Most points a sweep grid may hold; the report keeps one record per point.
 MAX_GRID_POINTS = 1_000_000
-
-#: How far past its stop a grid point may fall and still be kept, so that
-#: rounding in start + k * step does not drop the last point.
-GRID_SLACK = 1e-9
 
 
 def _digest(path: str | Path) -> str:
@@ -88,16 +85,18 @@ def _cmd_ratings(args):
     context = _resolve_context(table, args.context)
     dist = concepts.context_distribution(table, context)
     ranking = concepts.rank_exemplars(table, context)
+    if args.format == "tsv":
+        tsv = ["rank\texemplar\ttypicality"]
+        tsv += [
+            f"{i + 1}\t{x}\t{dist.probability(x)!r}" for i, x in enumerate(ranking)
+        ]
+        return None, [args.table], tsv
     results = {
         "context": context,
         "typicalities": {x: dist.probability(x) for x in table.exemplars},
         "ranking": ranking,
     }
-    tsv = ["rank\texemplar\ttypicality"]
-    tsv += [
-        f"{i + 1}\t{x}\t{dist.probability(x)!r}" for i, x in enumerate(ranking)
-    ]
-    return results, [args.table], tsv
+    return results, [args.table], None
 
 
 def _cmd_bell(args):
@@ -155,6 +154,14 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _cmd_sweep(args):
     points = bell.sweep_mixing(_parse_grid(args.grid))
+    if args.format == "tsv":
+        tsv = ["odd_event_probability\tbell_value\tviolated"]
+        tsv += [
+            f"{pt.odd_event_probability!r}\t{pt.bell_value!r}\t"
+            f"{'true' if pt.violated else 'false'}"
+            for pt in points
+        ]
+        return None, [], tsv
     results = {
         "points": [
             {
@@ -165,13 +172,7 @@ def _cmd_sweep(args):
             for pt in points
         ]
     }
-    tsv = ["odd_event_probability\tbell_value\tviolated"]
-    tsv += [
-        f"{pt.odd_event_probability!r}\t{pt.bell_value!r}\t"
-        f"{'true' if pt.violated else 'false'}"
-        for pt in points
-    ]
-    return results, [], tsv
+    return results, [], None
 
 
 def _cmd_guppy(args):
@@ -253,7 +254,7 @@ def _cmd_kolmo(args):
                 "weight": w,
             }
             for s, w in zip(polytope.enumerate_strategies(), result.weights)
-            if w > 1e-15
+            if w > WEIGHT_CUTOFF
         ]
     witness = None
     if result.witness is not None:
@@ -322,16 +323,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--tolerance",
         type=float,
-        default=1e-9,
-        help="tolerance for the product-equality flags (default 1e-9)",
+        default=RESIDUAL_TOL,
+        help="tolerance for the product-equality flags (default %(default)s)",
     )
 
     sp = add("sweep", "sweep the pet-food mixing probability", _cmd_sweep)
     sp.epilog = (
         "A point's 'violated' compares its rounded functional value with "
-        "2 + 1e-12, so within 1e-12 of the ceiling it can read false where "
-        "'bell --odd-event' at the same probability, which decides from the "
-        "exact slacks, reads true."
+        f"2 + {DEFAULT_TOL:g}, so within {DEFAULT_TOL:g} of the ceiling it can "
+        "read false where 'bell --odd-event' at the same probability, which "
+        "decides from the exact slacks, reads true."
     )
     sp.add_argument(
         "--grid",
@@ -377,9 +378,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--tolerance",
         type=float,
-        default=1e-9,
+        default=RESIDUAL_TOL,
         help="largest sup-norm residual allowed for the mixture weights of a "
-        "classical table (default 1e-9); the decision itself is exact",
+        "classical table (default %(default)s); the decision itself is exact",
     )
 
     return parser
@@ -391,6 +392,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(raw)
     start = time.perf_counter()
     try:
+        # Tabular handlers build only the output --format asks for and
+        # return None for the other; the rest always return tsv=None.
         results, inputs, tsv = args.handler(args)
         digests = {str(p): _digest(p) for p in inputs}
     except (ValueError, OSError) as exc:

@@ -24,9 +24,8 @@ from typing import Mapping
 import numpy as np
 
 from ._labels import distinct_labels
+from ._tolerance import DEFAULT_TOL
 from .hilbert import StateVector
-
-_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +54,9 @@ class RatingTable:
                 f"negative rating at ({exemplars[i]!r}, {contexts[j]!r}): "
                 f"{ratings[i, j]!r}"
             )
-        dead = np.flatnonzero(ratings.sum(axis=0) <= 0)
+        # The column maximum, not the sum: finite ratings can sum past the
+        # float range, and max > 0 is the same test for non-negative values.
+        dead = np.flatnonzero(ratings.max(axis=0) <= 0)
         if dead.size:
             raise ValueError(f"context column has no mass: {contexts[dead[0]]!r}")
         ratings.flags.writeable = False
@@ -94,9 +95,10 @@ class RatingTable:
 class ContextDistribution:
     """Probability of choosing each exemplar, for one fixed context.
 
-    Probabilities are kept in insertion order, sum to one within 1e-12, and
-    are clamped into [0, 1] after an equally tight range check, so that
-    floating-point dust from upstream arithmetic never leaks out.
+    Probabilities are kept in insertion order, sum to one within
+    ``DEFAULT_TOL``, and are clamped into [0, 1] after an equally tight range
+    check, so that floating-point dust from upstream arithmetic never leaks
+    out.
     """
 
     context: str
@@ -110,7 +112,7 @@ class ContextDistribution:
             if not isinstance(label, str) or not label:
                 raise ValueError(f"exemplar labels must be non-empty strings, got {label!r}")
             p = float(p)
-            if not (-_SUM_TOL <= p <= 1.0 + _SUM_TOL):
+            if not (-DEFAULT_TOL <= p <= 1.0 + DEFAULT_TOL):
                 raise ValueError(
                     f"probability for {label!r} out of range: {p!r}"
                 )
@@ -118,7 +120,7 @@ class ContextDistribution:
         if not probs:
             raise ValueError("distribution needs at least one exemplar")
         total = float(sum(probs.values()))
-        if abs(total - 1.0) > _SUM_TOL:
+        if abs(total - 1.0) > DEFAULT_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "probabilities", probs)
 
@@ -192,7 +194,14 @@ def load_ratings(path: str | Path, delimiter: str = "\t") -> RatingTable:
 def context_distribution(table: RatingTable, context: str) -> ContextDistribution:
     """Normalize one rating column into choice probabilities."""
     col = table.column(context)
-    probs = col / col.sum()
+    with np.errstate(over="ignore"):
+        total = col.sum()
+    if not np.isfinite(total):
+        # Finite ratings whose sum overflows: scaled by the largest, the
+        # column keeps its proportions and sums to at most its length.
+        col /= col.max()
+        total = col.sum()
+    probs = col / total
     return ContextDistribution(
         context, dict(zip(table.exemplars, probs.tolist()))
     )

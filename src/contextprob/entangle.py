@@ -24,10 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from ._labels import distinct_labels
+from ._tolerance import DEFAULT_TOL
 from .concepts import ContextDistribution
 from .hilbert import Observable
-
-_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,7 @@ class EntangledState:
     def _set(self, basis_a, basis_b, pos_a, pos_b, rows, cols, amps) -> None:
         probs = np.abs(amps) ** 2
         norm_sq = float(np.sum(probs))
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        if abs(norm_sq - 1.0) > DEFAULT_TOL:
             raise ValueError(f"joint state is not normalized: squared norm {norm_sq!r}")
         for arr in (rows, cols, amps, probs):
             arr.flags.writeable = False
@@ -300,7 +299,7 @@ def conditional_collapse(state: EntangledState, side: str, exemplar: str) -> Ent
         )
     kept = idx == pos[exemplar]
     mass = float(np.sum(state._probs[kept]))
-    if mass <= _NORM_TOL:
+    if mass <= DEFAULT_TOL:
         raise ValueError(
             f"cannot collapse side {side} to {exemplar!r}: its marginal probability is zero"
         )

@@ -16,8 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._labels import distinct_labels
-
-DEFAULT_TOL = 1e-12
+from ._tolerance import DEFAULT_TOL
 
 # Separator used for tensor-product labels. Joining flat strings keeps
 # three-factor products associative at the label level as well.
@@ -149,20 +148,18 @@ def basis_state(basis: Sequence[str], label: str) -> StateVector:
     return StateVector(b, amps)
 
 
-def normalize(
-    basis: Sequence[str], amplitudes: Sequence[complex], tol: float = DEFAULT_TOL
-) -> StateVector:
+def normalize(basis: Sequence[str], amplitudes: Sequence[complex]) -> StateVector:
     """Scale a raw amplitude vector to unit norm.
 
-    Vectors whose norm is at or below ``tol`` are treated as zero and
-    rejected, since no direction can be recovered from them.
+    Vectors whose norm is at or below ``DEFAULT_TOL`` are treated as zero
+    and rejected, since no direction can be recovered from them.
     """
     b = tuple(basis)
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if amps.shape[0] != len(b):
         raise ValueError(f"{amps.shape[0]} amplitudes for {len(b)} basis labels")
     norm = float(np.linalg.norm(amps))
-    if norm <= tol:
+    if norm <= DEFAULT_TOL:
         distinct_labels(b, "basis")  # a bad label is reported before a zero vector
         raise ValueError("cannot normalize an all-zero amplitude vector")
     # StateVector checks the labels; checking them here too would double
@@ -199,14 +196,14 @@ def born_prob(proj: Projector, state: StateVector) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def collapse(proj: Projector, state: StateVector, tol: float = DEFAULT_TOL) -> StateVector:
+def collapse(proj: Projector, state: StateVector) -> StateVector:
     """Project a state onto ``proj``'s support and renormalize."""
     _same_basis(proj, state, "collapse")
     mask = np.fromiter(
         (x in proj.support for x in state.basis), dtype=bool, count=state.dim
     )
     kept = np.where(mask, state.amplitudes, 0.0)
-    if float(np.sum(np.abs(kept) ** 2)) <= tol:
+    if float(np.sum(np.abs(kept) ** 2)) <= DEFAULT_TOL:
         raise ValueError(
             "cannot collapse: state has no amplitude on "
             f"{sorted(proj.support)!r}"

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL
 from .bell import CorrelationTable, CHSH_FORMS
 
 #: Largest functional value reachable by tensor-product measurements on a
@@ -102,7 +103,7 @@ class RealizabilityResult:
     max_residual: float
 
 
-def realizable(table: CorrelationTable, tol: float = 1e-9) -> RealizabilityResult:
+def realizable(table: CorrelationTable, tol: float = RESIDUAL_TOL) -> RealizabilityResult:
     """Decide membership in the classical correlation polytope.
 
     The decision is exact and takes no tolerance. ``tol`` bounds the
@@ -281,17 +282,18 @@ def primary_violated(table: CorrelationTable) -> bool:
     )
 
 
-def classify(table: CorrelationTable, tol: float = 1e-12) -> str:
+def classify(table: CorrelationTable) -> str:
     """Band of the joints: classical, quantum-achievable, supra-quantum.
 
     "Classical" is decided from the exact CHSH slacks, as in realizable(),
     so the two agree at the facet; singles play no part. Above it, the
     largest form value, 2 minus the smallest slack (the forms are closed
-    under a global sign flip), splits the bands at 2*sqrt(2), within ``tol``.
+    under a global sign flip), splits the bands at 2*sqrt(2), within
+    ``DEFAULT_TOL``.
     """
     slack = min(_chsh_slacks(table.joints_flat()))
     if slack >= 0.0:
         return CLASSICAL
-    if 2.0 - slack <= TSIRELSON_BOUND + tol:
+    if 2.0 - slack <= TSIRELSON_BOUND + DEFAULT_TOL:
         return QUANTUM_ACHIEVABLE
     return SUPRA_QUANTUM

@@ -17,8 +17,16 @@ from typing import Sequence
 import numpy as np
 
 from ._labels import distinct_labels
+from ._tolerance import DEFAULT_TOL
 
 DEFAULT_ORDER_BUDGET = 1_000_000
+
+#: Most cells (terms x documents) a count matrix may hold. The size of a
+#: corpus does not bound it: N one-token lines, each with a new token, ask
+#: for N**2 cells. The counts take 8 bytes a cell and ``svd_truncate`` copies
+#: them as floats, so 2**25 cells is about 0.5 GB, some ten times the
+#: corpora perfbench/ generates (3,977 terms x 800 documents, 3.2 M cells).
+MAX_MATRIX_CELLS = 2**25
 
 #: Smallest kept singular value, as a fraction of the largest, for which
 #: ``svd_truncate`` trusts the Gram-matrix route; below it LAPACK's SVD is used.
@@ -133,6 +141,8 @@ def build_matrix(corpus: Sequence[tuple[str, Sequence[str]]]) -> TermDocMatrix:
 
     One pass checks each token and gives it its vocabulary row; the counts
     are then one ``bincount`` over the flat (row, document) cell indices.
+    A matrix of more than ``MAX_MATRIX_CELLS`` cells is refused before it
+    is allocated.
     """
     if not corpus:
         raise ValueError("empty corpus: need at least one document")
@@ -153,6 +163,11 @@ def build_matrix(corpus: Sequence[tuple[str, Sequence[str]]]) -> TermDocMatrix:
     if not vocab:
         raise ValueError("corpus has no tokens")
     n_terms, n_docs = len(vocab), len(doc_labels)
+    if n_terms * n_docs > MAX_MATRIX_CELLS:
+        raise ValueError(
+            f"count matrix would hold {n_terms} terms x {n_docs} documents = "
+            f"{n_terms * n_docs} cells; the limit is {MAX_MATRIX_CELLS}"
+        )
     cells = np.array(rows, dtype=np.int64) * n_docs
     cells += np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
     counts = np.bincount(cells, minlength=n_terms * n_docs).reshape(n_terms, n_docs)
@@ -227,8 +242,8 @@ def similarity(space: SemanticSpace, term1: str, term2: str) -> float:
     v2 = space.word_vector(term2)
     n1 = float(np.linalg.norm(v1))
     n2 = float(np.linalg.norm(v2))
-    if n1 <= 1e-12 or n2 <= 1e-12:
-        dead = term1 if n1 <= 1e-12 else term2
+    if n1 <= DEFAULT_TOL or n2 <= DEFAULT_TOL:
+        dead = term1 if n1 <= DEFAULT_TOL else term2
         warnings.warn(
             f"term {dead!r} has a zero word vector at rank {space.rank}; "
             "similarity defined as 0",

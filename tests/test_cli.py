@@ -62,6 +62,22 @@ def test_ratings_ambiguous_context(capsys):
     assert "ambiguous" in err
 
 
+def test_ratings_column_whose_sum_overflows(tmp_path):
+    table = tmp_path / "huge.tsv"
+    table.write_text("exemplar\tc\nx\t1e308\ny\t1e308\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "contextprob", "ratings", str(table), "--context", "c"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    results = json.loads(proc.stdout)["results"]
+    assert results["typicalities"] == {"x": 0.5, "y": 0.5}
+    assert results["ranking"] == ["x", "y"]
+
+
 def test_ratings_tsv_output(capsys):
     code, out, err = run(
         capsys,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,30 @@ def test_distribution_unknown_context_lists_available(pet_table):
 def test_distribution_constructor_validates_sum():
     with pytest.raises(ValueError, match="sum to"):
         ContextDistribution("c", {"a": 0.5, "b": 0.4})
+
+
+def test_column_whose_sum_overflows_keeps_its_proportions():
+    # Each rating is finite, but the column sum is past the float range.
+    text = "exemplar\tc\tplain\nx\t1e308\t1\ny\t1e308\t3\nz\t4e307\t0\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = parse_ratings(text)
+        dist = context_distribution(table, "c")
+        assert rank_exemplars(table, "c") == ["x", "y", "z"]
+        assert context_state(table, "c").dim == 3
+    assert dist.probability("x") == dist.probability("y")
+    assert dist.probability("x") == pytest.approx(10 / 24, rel=1e-15)
+    assert dist.probability("z") == pytest.approx(4 / 24, rel=1e-15)
+    assert context_distribution(table, "plain").probabilities == {
+        "x": 0.25, "y": 0.75, "z": 0.0
+    }
+
+
+def test_ordinary_columns_are_divided_by_their_plain_sum(pet_table):
+    for context in PET_CONTEXTS:
+        col = pet_table.column(context)
+        expected = dict(zip(pet_table.exemplars, (col / col.sum()).tolist()))
+        assert context_distribution(pet_table, context).probabilities == expected
 
 
 # --------------------------------------------------------------- context_state

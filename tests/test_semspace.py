@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,9 +10,11 @@ from hypothesis.extra.numpy import arrays
 
 from contextprob.cli import main
 from contextprob.fixtures import fixture_path
+import contextprob.semspace as semspace_module
 from contextprob.semspace import (
     GRAM_MAX_RANK_FRACTION,
     GRAM_RELATIVE_FLOOR,
+    MAX_MATRIX_CELLS,
     TermDocMatrix,
     bow_vector,
     build_matrix,
@@ -193,6 +197,33 @@ def test_bad_token_error_is_a_value_error_naming_the_token(token, shown):
 def test_corpus_of_empty_documents_has_no_tokens():
     with pytest.raises(ValueError, match="corpus has no tokens"):
         build_matrix([("doc1", []), ("doc2", [])])
+
+
+def test_matrix_just_over_the_cell_cap_is_refused_before_it_is_allocated():
+    # n one-token documents, each with a new token, ask for n * n cells.
+    n = math.isqrt(MAX_MATRIX_CELLS) + 1
+    assert (n - 1) ** 2 <= MAX_MATRIX_CELLS < n * n
+    corpus = [(f"doc{i}", [f"t{i}"]) for i in range(n)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            build_matrix(corpus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (
+        f"count matrix would hold {n} terms x {n} documents = {n * n} cells; "
+        f"the limit is {MAX_MATRIX_CELLS}"
+    )
+    # The dense counts would take 8 * n * n bytes, about 268 MB.
+    assert peak < 8 * n * n / 100
+
+
+def test_cell_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(semspace_module, "MAX_MATRIX_CELLS", 6)
+    assert build_matrix([("d1", ["a", "b", "c"]), ("d2", ["a"])]).counts.shape == (3, 2)
+    with pytest.raises(ValueError, match="= 8 cells; the limit is 6"):
+        build_matrix([("d1", ["a", "b", "c", "d"]), ("d2", ["a"])])
 
 
 # --------------------------------------------------------------- svd_truncate
