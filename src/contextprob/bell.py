@@ -249,11 +249,14 @@ def load_scenario(path: str | Path) -> CorrelationTable:
     With ``joint``, optional keys ``row_contexts``, ``col_contexts``,
     ``singles_a`` and ``singles_b`` fill in the rest of the table.
     """
-    raw = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(raw)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
 

@@ -233,9 +233,8 @@ def _cmd_semspace(args):
                 "indistinguishable" if same else "distinguishable"
             )
         if args.mode in ("order", "both"):
-            same = np.array_equal(
-                semspace.order_representation(tok1, matrix.terms),
-                semspace.order_representation(tok2, matrix.terms),
+            same = semspace.order_index(tok1, matrix.terms) == semspace.order_index(
+                tok2, matrix.terms
             )
             comparison["order"] = "indistinguishable" if same else "distinguishable"
         results["comparison"] = comparison

@@ -17,6 +17,7 @@ The first header cell is ignored. Blank lines are skipped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -107,22 +108,21 @@ class ContextDistribution:
     def __post_init__(self) -> None:
         if not isinstance(self.context, str) or not self.context:
             raise ValueError("context label must be a non-empty string")
-        probs: dict[str, float] = {}
-        for label, p in dict(self.probabilities).items():
-            if not isinstance(label, str) or not label:
-                raise ValueError(f"exemplar labels must be non-empty strings, got {label!r}")
-            p = float(p)
-            if not (-DEFAULT_TOL <= p <= 1.0 + DEFAULT_TOL):
-                raise ValueError(
-                    f"probability for {label!r} out of range: {p!r}"
-                )
-            probs[label] = min(max(p, 0.0), 1.0)
-        if not probs:
+        given = dict(self.probabilities)
+        if not given:
             raise ValueError("distribution needs at least one exemplar")
-        total = float(sum(probs.values()))
+        labels = distinct_labels(given, "exemplar")
+        p = np.fromiter(given.values(), dtype=float, count=len(labels))
+        # NaN fails both comparisons, so it is reported as out of range.
+        bad = np.flatnonzero(~((p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"probability for {labels[i]!r} out of range: {float(p[i])!r}")
+        probs = np.clip(p, 0.0, 1.0, out=p).tolist()
+        total = sum(probs)
         if abs(total - 1.0) > DEFAULT_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "probabilities", dict(zip(labels, probs)))
 
     @property
     def exemplars(self) -> tuple[str, ...]:
@@ -176,6 +176,11 @@ def parse_ratings(text: str, delimiter: str = "\t") -> RatingTable:
                 raise ValueError(
                     f"line {lineno}: negative rating at ({exemplar!r}, {contexts[j]!r}): {v!r}"
                 )
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"line {lineno}: rating at ({exemplar!r}, {contexts[j]!r}) "
+                    f"is not finite: {cell.strip()!r}"
+                )
             row.append(v)
         exemplars.append(exemplar)
         values.append(row)
@@ -184,9 +189,8 @@ def parse_ratings(text: str, delimiter: str = "\t") -> RatingTable:
 
 
 def load_ratings(path: str | Path, delimiter: str = "\t") -> RatingTable:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return parse_ratings(text, delimiter=delimiter)
+        return parse_ratings(Path(path).read_text(encoding="utf-8"), delimiter=delimiter)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -48,14 +48,6 @@ class CompatibilityRelation:
             raise ValueError(f"duplicate pair in relation: {dup!r}")
         object.__setattr__(self, "pairs", pairs)
 
-    @property
-    def left_labels(self) -> frozenset[str]:
-        return frozenset(a for a, _ in self.pairs)
-
-    @property
-    def right_labels(self) -> frozenset[str]:
-        return frozenset(b for _, b in self.pairs)
-
     @cached_property
     def _index(self) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
         """Distinct left and right labels, first seen first, and each pair's

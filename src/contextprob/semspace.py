@@ -85,6 +85,8 @@ class SemanticSpace:
 
     def __post_init__(self) -> None:
         k = int(self.rank)
+        terms = distinct_labels(self.terms, "term")
+        docs = distinct_labels(self.docs, "document")
         sv = np.array(self.singular_values, dtype=float)
         wv = np.array(self.word_vectors, dtype=float)
         dv = np.array(self.doc_vectors, dtype=float)
@@ -92,13 +94,12 @@ class SemanticSpace:
             raise ValueError(f"expected {k} singular values, got shape {sv.shape}")
         if np.any(sv < 0) or np.any(np.diff(sv) > 0):
             raise ValueError("singular values must be nonnegative and nonincreasing")
-        if wv.shape != (len(self.terms), k) or dv.shape != (len(self.docs), k):
+        if wv.shape != (len(terms), k) or dv.shape != (len(docs), k):
             raise ValueError("factor shapes inconsistent with rank and labels")
-        for arr in (sv, wv, dv):
-            arr.flags.writeable = False
+        sv.flags.writeable = wv.flags.writeable = dv.flags.writeable = False
         object.__setattr__(self, "rank", k)
-        object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "docs", tuple(self.docs))
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "docs", docs)
         object.__setattr__(self, "word_vectors", wv)
         object.__setattr__(self, "singular_values", sv)
         object.__setattr__(self, "doc_vectors", dv)
@@ -133,7 +134,10 @@ def parse_corpus(text: str, lowercase: bool = True) -> list[tuple[str, list[str]
 
 
 def load_corpus(path: str | Path, lowercase: bool = True) -> list[tuple[str, list[str]]]:
-    return parse_corpus(Path(path).read_text(encoding="utf-8"), lowercase=lowercase)
+    try:
+        return parse_corpus(Path(path).read_text(encoding="utf-8"), lowercase=lowercase)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def build_matrix(corpus: Sequence[tuple[str, Sequence[str]]]) -> TermDocMatrix:
@@ -271,6 +275,24 @@ def bow_vector(tokens: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
     return vec
 
 
+def order_index(tokens: Sequence[str], vocab: Sequence[str]) -> tuple[int, int]:
+    """The positional representation as a pair: its size |vocab| ** len(tokens)
+    and the flat position of its single 1.
+
+    Two token sequences have equal representations exactly when their pairs
+    are equal, at any vocabulary size, without building either vector. The
+    position is the sequence read as a number in base |vocab|.
+    """
+    if not tokens:
+        raise ValueError("order representation needs at least one token")
+    indices = _vocab_indices(tokens, vocab)
+    size = len(tuple(vocab))
+    flat = 0
+    for i in indices:
+        flat = flat * size + i
+    return size ** len(tokens), flat
+
+
 def order_representation(
     tokens: Sequence[str],
     vocab: Sequence[str],
@@ -282,21 +304,15 @@ def order_representation(
     position encodes the exact word sequence, so any two different
     orderings of distinct words land on different positions. The size is
     exponential by nature; requests beyond ``max_entries`` are refused.
+    ``order_index`` gives the same information at any size.
     """
-    if not tokens:
-        raise ValueError("order representation needs at least one token")
-    indices = _vocab_indices(tokens, vocab)
-    size = len(tuple(vocab))
-    entries = size ** len(tokens)
+    entries, flat = order_index(tokens, vocab)
     if entries > max_entries:
         raise ValueError(
             f"order representation would need {entries} entries "
-            f"({size} vocabulary terms ** {len(tokens)} tokens); "
+            f"({len(tuple(vocab))} vocabulary terms ** {len(tokens)} tokens); "
             f"the budget is {max_entries}"
         )
-    flat = 0
-    for i in indices:
-        flat = flat * size + i
     vec = np.zeros(entries)
     vec[flat] = 1.0
     return vec

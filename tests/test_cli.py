@@ -360,6 +360,54 @@ def test_kolmo_accepts_the_fully_mixed_scenario(capsys):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
+# --------------------------------------------------------------- input errors
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("kolmo", "[" * 200_000),
+        ("bell", "[" * 200_000),
+        ("kolmo", '{"joint": ' + "[" * 5_000 + "]" * 5_000 + "}"),
+    ],
+    ids=["brackets-kolmo", "brackets-bell", "deep-joint"],
+)
+def test_deeply_nested_scenario_is_an_error_line(capsys, tmp_path, monkeypatch, command, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text(text)
+    code, out, err = run(capsys, [command, "--scenario", "deep.json"])
+    assert (code, out, err) == (1, "", "error: deep.json: JSON nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("bin.tsv", ["ratings", "bin.tsv", "--context", "c"]),
+        ("bin.txt", ["semspace", "--corpus", "bin.txt"]),
+        ("bin.json", ["kolmo", "--scenario", "bin.json"]),
+    ],
+    ids=["ratings", "semspace", "scenario"],
+)
+def test_file_that_is_not_utf8_is_named(capsys, tmp_path, monkeypatch, name, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(b"exemplar\tc\nx\t\xff\n")
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {name}: 'utf-8' codec can't decode byte 0xff in position 13: "
+        "invalid start byte\n"
+    )
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_non_finite_rating_names_its_line_and_cell(capsys, tmp_path, monkeypatch, cell):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.tsv").write_text(f"exemplar\tc\nx\t1\ny\t{cell}\n")
+    code, out, err = run(capsys, ["ratings", "r.tsv", "--context", "c"])
+    assert (code, out) == (1, "")
+    assert err == f"error: r.tsv: line 3: rating at ('y', 'c') is not finite: '{cell}'\n"
+
+
 # ----------------------------------------------------------------- invariants
 
 

@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from contextprob._tolerance import DEFAULT_TOL
 from contextprob.concepts import (
     ContextDistribution,
     RatingTable,
@@ -49,6 +51,20 @@ def test_parse_negative_cell_cites_coordinates():
         parse_ratings(text)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "Infinity", "1e999"])
+def test_parse_non_finite_cell_cites_coordinates(cell):
+    text = f"exemplar\tc1\nant\t0.5\nbee\t{cell}\n"
+    with pytest.raises(
+        ValueError, match=rf"^line 3: rating at \('bee', 'c1'\) is not finite: '{cell}'$"
+    ):
+        parse_ratings(text)
+
+
+def test_parse_minus_infinity_is_a_negative_rating():
+    with pytest.raises(ValueError, match=r"line 2: negative rating at \('ant', 'c1'\): -inf"):
+        parse_ratings("exemplar\tc1\nant\t-inf\n")
+
+
 def test_parse_non_numeric_cell_cites_coordinates():
     text = "exemplar\tc1\nant\tmany\n"
     with pytest.raises(ValueError, match=r"line 2: .*\('ant', 'c1'\).*'many'"):
@@ -86,6 +102,13 @@ def test_load_ratings_prefixes_path_on_error(tmp_path):
         load_ratings(bad)
 
 
+def test_load_ratings_names_the_file_when_it_is_not_utf8(tmp_path):
+    bad = tmp_path / "bin.tsv"
+    bad.write_bytes(b"exemplar\tc1\nant\t\xff\n")
+    with pytest.raises(ValueError, match=r"bin\.tsv: 'utf-8' codec can't decode byte 0xff"):
+        load_ratings(bad)
+
+
 # ------------------------------------------------------- context_distribution
 
 
@@ -118,6 +141,98 @@ def test_distribution_unknown_context_lists_available(pet_table):
 def test_distribution_constructor_validates_sum():
     with pytest.raises(ValueError, match="sum to"):
         ContextDistribution("c", {"a": 0.5, "b": 0.4})
+
+
+def per_entry_distribution(probabilities):
+    """The per-entry check ContextDistribution made before it checked arrays,
+    kept as the oracle for its messages and its clamped values."""
+    probs = {}
+    for label, p in dict(probabilities).items():
+        if not isinstance(label, str) or not label:
+            raise ValueError(f"exemplar labels must be non-empty strings, got {label!r}")
+        p = float(p)
+        if not (-DEFAULT_TOL <= p <= 1.0 + DEFAULT_TOL):
+            raise ValueError(f"probability for {label!r} out of range: {p!r}")
+        probs[label] = min(max(p, 0.0), 1.0)
+    if not probs:
+        raise ValueError("distribution needs at least one exemplar")
+    total = float(sum(probs.values()))
+    if abs(total - 1.0) > DEFAULT_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1")
+    return probs
+
+
+def outcome(build, probabilities):
+    """Each label with the bits of its probability, or the error message."""
+    try:
+        result = build(probabilities)
+    except ValueError as exc:
+        return str(exc)
+    return [(label, p.hex()) for label, p in result.items()]
+
+
+def array_checked(probabilities):
+    return ContextDistribution("c", probabilities).probabilities
+
+
+EDGE_VALUES = [
+    -0.0, 0.0, 1.0, -DEFAULT_TOL, 1.0 + DEFAULT_TOL, -DEFAULT_TOL / 2,
+    DEFAULT_TOL / 2, -2 * DEFAULT_TOL, 1.0 + 2 * DEFAULT_TOL, 2.0**-1074,
+    -(2.0**-1074), math.nan, math.inf, -math.inf,
+]
+
+
+@st.composite
+def probability_maps(draw):
+    """Normalized weights, some replaced by values at or past the range
+    edges, under distinct non-empty labels."""
+    weights = draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=12))
+    total = sum(weights)
+    probs = [w / total for w in weights] if total > 0 else weights
+    for i in draw(st.lists(st.integers(0, len(probs) - 1), max_size=3)):
+        probs[i] = draw(
+            st.sampled_from(EDGE_VALUES) | st.floats(-1e-11, 1e-11) | st.floats(1.0, 1.0 + 1e-11)
+        )
+    labels = draw(
+        st.lists(st.text(min_size=1, max_size=3), min_size=len(probs), max_size=len(probs), unique=True)
+    )
+    return dict(zip(labels, probs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(probability_maps())
+def test_array_check_matches_the_per_entry_check_bit_for_bit(probabilities):
+    expected = outcome(per_entry_distribution, probabilities)
+    assert outcome(array_checked, probabilities) == expected
+
+
+def test_negative_zero_and_range_dust_clamp_like_the_per_entry_check():
+    probabilities = {"a": -0.0, "b": -DEFAULT_TOL, "c": 1.0 + DEFAULT_TOL / 2}
+    got = ContextDistribution("c", probabilities).probabilities
+    assert [p.hex() for p in got.values()] == ["-0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"]
+    assert got == per_entry_distribution(probabilities)
+
+
+@pytest.mark.parametrize(
+    "probabilities, message",
+    [
+        ({}, "distribution needs at least one exemplar"),
+        ({"a": 0.5, "": 0.5}, "exemplar labels must be non-empty strings, got ''"),
+        ({"a": 0.5, 3: 0.5}, "exemplar labels must be non-empty strings, got 3"),
+        ({"a": 0.5, "b": 1.5, "c": -0.5}, "probability for 'b' out of range: 1.5"),
+        ({"a": 0.5, "b": math.nan}, "probability for 'b' out of range: nan"),
+        ({"a": 0.5, "b": -0.1}, "probability for 'b' out of range: -0.1"),
+        ({"a": 0.5, "b": 0.4}, "probabilities sum to 0.9, expected 1"),
+    ],
+    ids=["empty", "empty-label", "non-string-label", "first-out-of-range", "nan", "negative", "sum"],
+)
+def test_one_defect_gets_the_per_entry_message(probabilities, message):
+    with pytest.raises(ValueError) as err:
+        ContextDistribution("c", probabilities)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as oracle:
+        per_entry_distribution(probabilities)
+    assert str(oracle.value) == message
 
 
 def test_column_whose_sum_overflows_keeps_its_proportions():

@@ -15,10 +15,12 @@ from contextprob.semspace import (
     GRAM_MAX_RANK_FRACTION,
     GRAM_RELATIVE_FLOOR,
     MAX_MATRIX_CELLS,
+    SemanticSpace,
     TermDocMatrix,
     bow_vector,
     build_matrix,
     load_corpus,
+    order_index,
     order_representation,
     parse_corpus,
     similarity,
@@ -158,6 +160,13 @@ def test_lowercase_is_the_default():
 def test_case_preserved_when_asked():
     m = build_matrix(parse_corpus("Fish fish", lowercase=False))
     assert m.terms == ("Fish", "fish")
+
+
+def test_load_corpus_names_the_file_when_it_is_not_utf8(tmp_path):
+    bad = tmp_path / "bin.txt"
+    bad.write_bytes(b"mary hits john\n\xff\n")
+    with pytest.raises(ValueError, match=r"bin\.txt: 'utf-8' codec can't decode byte 0xff"):
+        load_corpus(bad)
 
 
 def test_empty_token_is_rejected():
@@ -356,6 +365,27 @@ def test_toy_corpus_report_is_unchanged(capsys, argv, results):
         )
 
 
+def space_with(terms, docs):
+    return SemanticSpace(1, terms, docs, np.ones((len(terms), 1)), [1.0], np.ones((len(docs), 1)))
+
+
+@pytest.mark.parametrize(
+    "terms, docs, message",
+    [
+        (("a", "a"), ("d1",), "duplicate term label: 'a'"),
+        (("a", ""), ("d1",), "term labels must be non-empty strings, got ''"),
+        ((), ("d1",), "need at least one term label"),
+        (("a",), ("d1", "d1"), "duplicate document label: 'd1'"),
+        (("a",), ("d1", 2), "document labels must be non-empty strings, got 2"),
+    ],
+    ids=["duplicate-term", "empty-term", "no-terms", "duplicate-doc", "non-string-doc"],
+)
+def test_semantic_space_checks_its_labels(terms, docs, message):
+    with pytest.raises(ValueError) as err:
+        space_with(terms, docs)
+    assert str(err.value) == message
+
+
 def test_rank_out_of_range(toy_matrix):
     with pytest.raises(ValueError, match="rank must be between 1 and"):
         svd_truncate(toy_matrix, 0)
@@ -497,3 +527,58 @@ def test_order_rejects_unknown_tokens(toy_matrix):
 def test_order_rejects_empty_sequence(toy_matrix):
     with pytest.raises(ValueError, match="at least one token"):
         order_representation((), toy_matrix.terms)
+
+
+# ---------------------------------------------------------------- order_index
+
+
+def test_order_index_is_the_size_and_the_position_of_the_one(toy_matrix):
+    vocab = toy_matrix.terms
+    for tokens in (("hits",), ("mary", "hits", "john"), ("fish",) * 4):
+        rep = order_representation(tokens, vocab)
+        assert order_index(tokens, vocab) == (rep.size, int(np.argmax(rep)))
+        assert order_index(tokens, vocab)[1] == flat_index_oracle(tokens, list(vocab))
+
+
+def test_order_index_has_no_budget():
+    vocab = [f"w{i}" for i in range(200)]
+    tokens = ["w3", "w199", "w0", "w42"]
+    assert order_index(tokens, vocab) == (200**4, flat_index_oracle(tokens, vocab))
+    with pytest.raises(ValueError, match="the budget is 1000000"):
+        order_representation(tokens, vocab)
+
+
+def test_order_index_checks_tokens_like_the_dense_form(toy_matrix):
+    with pytest.raises(ValueError, match="not in vocabulary"):
+        order_index(("zebra",), toy_matrix.terms)
+    with pytest.raises(ValueError, match="at least one token"):
+        order_index((), toy_matrix.terms)
+
+
+def compare(capsys, corpus, *sentences):
+    assert main(["semspace", "--corpus", str(corpus), "--compare", *sentences]) == 0
+    return json.loads(capsys.readouterr().out)["results"]["comparison"]
+
+
+def test_compare_works_past_the_dense_budget(capsys, tmp_path):
+    # 200 terms and 3-word sentences: the dense vectors would need 8e6 entries.
+    corpus = tmp_path / "wide.txt"
+    corpus.write_text("\n".join(f"w{i} w{i + 1}" for i in range(0, 200, 2)) + "\n")
+    got = compare(capsys, corpus, "w0 w5 w199", "w199 w5 w0")
+    assert got["bag_of_words"] == "indistinguishable"
+    assert got["order"] == "distinguishable"
+    got = compare(capsys, corpus, "w0 w5 w199", "W0 w5 w199")
+    assert got["order"] == "indistinguishable"
+
+
+def test_compare_in_a_one_term_vocabulary(capsys, tmp_path):
+    # Every one-hot tensor over one term is the single entry [1.0].
+    corpus = tmp_path / "one.txt"
+    corpus.write_text("a\n")
+    got = compare(capsys, corpus, "a", "a a")
+    assert got == {
+        "bag_of_words": "distinguishable",
+        "order": "indistinguishable",
+        "sentence_1": "a",
+        "sentence_2": "a a",
+    }
