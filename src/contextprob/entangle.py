@@ -146,7 +146,7 @@ class EntangledState:
     def _set(self, basis_a, basis_b, pos_a, pos_b, rows, cols, amps) -> None:
         probs = np.abs(amps) ** 2
         norm_sq = float(np.sum(probs))
-        if abs(norm_sq - 1.0) > DEFAULT_TOL:
+        if not abs(norm_sq - 1.0) <= DEFAULT_TOL:  # also refuses NaN
             raise ValueError(f"joint state is not normalized: squared norm {norm_sq!r}")
         for arr in (rows, cols, amps, probs):
             arr.flags.writeable = False

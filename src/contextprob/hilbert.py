@@ -1,7 +1,8 @@
 """Finite-dimensional complex state spaces over labeled bases.
 
 A state is a unit-norm vector of complex amplitudes indexed by an ordered
-tuple of string labels. Observables are diagonal in that basis with
+sequence of string labels: a tuple, or for a tensor product a lazy sequence
+of pair labels. Observables are diagonal in that basis with
 eigenvalues +1/-1, and projectors are diagonal 0/1 matrices identified by
 the set of labels they keep. Everything here is immutable and every
 operation is a pure function.
@@ -9,6 +10,7 @@ operation is a pure function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -23,6 +25,65 @@ from ._tolerance import DEFAULT_TOL
 TENSOR_SEP = "⊗"
 
 
+class _ProductBasis(Sequence[str]):
+    """The pair labels of a tensor product, built only when one is read.
+
+    Holds the two factor bases, each a checked basis (a tuple from
+    ``distinct_labels`` or another product basis). The pair label of (a, b)
+    is ``a + TENSOR_SEP + b``, left label major. The sequence is equal to,
+    and hashes like, the tuple of those labels.
+    """
+
+    __slots__ = ("_left", "_right", "_labels")
+
+    def __init__(self, left: Sequence[str], right: Sequence[str]) -> None:
+        self._left = left
+        self._right = right
+        self._labels: tuple[str, ...] | None = None
+        # Distinct factor labels give distinct pairs, and two pair labels can
+        # only coincide when a label on each side contains the separator.
+        if _has_sep(left) and _has_sep(right):
+            distinct_labels(self, "basis")
+
+    def _tuple(self) -> tuple[str, ...]:
+        if self._labels is None:
+            heads = [a + TENSOR_SEP for a in self._left]
+            self._labels = tuple(p + b for p in heads for b in self._right)
+        return self._labels
+
+    def __len__(self) -> int:
+        return len(self._left) * len(self._right)
+
+    def __getitem__(self, i):
+        return self._tuple()[i]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _ProductBasis):
+            if (
+                len(self._left) == len(other._left)
+                and self._left == other._left
+                and self._right == other._right
+            ):
+                return True
+            other = other._tuple()
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return self._tuple() == other
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._left!r}, {self._right!r})"
+
+
+def _has_sep(basis: Sequence[str]) -> bool:
+    return isinstance(basis, _ProductBasis) or TENSOR_SEP in "".join(basis)
+
+
 def _same_basis(a, b, op: str) -> None:
     if a.basis != b.basis:
         raise ValueError(
@@ -34,18 +95,20 @@ def _same_basis(a, b, op: str) -> None:
 class StateVector:
     """Unit-norm complex amplitudes over an ordered label basis."""
 
-    basis: tuple[str, ...]
+    basis: Sequence[str]
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        basis = distinct_labels(self.basis, "basis")
+        basis = self.basis
+        if not isinstance(basis, _ProductBasis):  # checked when it was built
+            basis = distinct_labels(basis, "basis")
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape[0] != len(basis):
             raise ValueError(
                 f"{amps.shape[0]} amplitudes for {len(basis)} basis labels"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > DEFAULT_TOL:
+        if not abs(norm_sq - 1.0) <= DEFAULT_TOL:  # also refuses NaN
             raise ValueError(f"state is not normalized: squared norm {norm_sq!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "basis", basis)
@@ -152,18 +215,20 @@ def normalize(basis: Sequence[str], amplitudes: Sequence[complex]) -> StateVecto
     """Scale a raw amplitude vector to unit norm.
 
     Vectors whose norm is at or below ``DEFAULT_TOL`` are treated as zero
-    and rejected, since no direction can be recovered from them.
+    and rejected, since no direction can be recovered from them. A norm
+    that is not finite (a NaN or infinite amplitude, or an overflow) is
+    rejected too.
     """
-    b = tuple(basis)
+    b = basis if isinstance(basis, _ProductBasis) else tuple(basis)
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if amps.shape[0] != len(b):
         raise ValueError(f"{amps.shape[0]} amplitudes for {len(b)} basis labels")
     norm = float(np.linalg.norm(amps))
-    if norm <= DEFAULT_TOL:
-        distinct_labels(b, "basis")  # a bad label is reported before a zero vector
-        raise ValueError("cannot normalize an all-zero amplitude vector")
-    # StateVector checks the labels; checking them here too would double
-    # the cost of tensor().
+    if not DEFAULT_TOL < norm < math.inf:
+        distinct_labels(b, "basis")  # a bad label is reported before a bad vector
+        if norm <= DEFAULT_TOL:
+            raise ValueError("cannot normalize an all-zero amplitude vector")
+        raise ValueError(f"cannot normalize an amplitude vector whose norm is {norm!r}")
     return StateVector(b, amps / norm)
 
 
@@ -176,14 +241,16 @@ def inner(u: StateVector, v: StateVector) -> complex:
 def tensor(u: StateVector, v: StateVector) -> StateVector:
     """Joint state over pair labels, amplitude = product of amplitudes.
 
-    Pair labels are formed by joining the factor labels with a separator,
-    left factor first, so the result is sensitive to argument order.
+    The pair label of (a, b) is ``a + TENSOR_SEP + b``, left factor first,
+    so the result is sensitive to argument order. The basis is a lazy
+    sequence of the pair labels: it is equal to, and hashes like, their
+    tuple (it is not a ``tuple`` instance), and it builds the labels only
+    when one is read. A product therefore costs one ``np.outer`` and a norm.
     """
-    labels = [p + b for p in [a + TENSOR_SEP for a in u.basis] for b in v.basis]
     amps = np.outer(u.amplitudes, v.amplitudes).reshape(-1)
     # Each factor is unit norm only within tolerance, so the product can
     # drift past the constructor gate; renormalize the (near-unit) result.
-    return normalize(labels, amps)
+    return normalize(_ProductBasis(u.basis, v.basis), amps)
 
 
 def born_prob(proj: Projector, state: StateVector) -> float:

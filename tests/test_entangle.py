@@ -118,6 +118,11 @@ def test_combine_rejects_labels_outside_the_distributions():
         combine(pa, pb, CompatibilityRelation((("z", "x"),)))
 
 
+def test_constructor_rejects_a_nan_amplitude():
+    with pytest.raises(ValueError, match="not normalized"):
+        EntangledState(("a",), ("b",), {("a", "b"): math.nan})
+
+
 # ----------------------------------------------------------- joint_expectation
 
 

@@ -1,4 +1,7 @@
+import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from contextprob.hilbert import (
     normalize,
     sign_projectors,
     tensor,
+    TENSOR_SEP,
 )
 from conftest import PET_RATING_ROWS, pet_column
 
@@ -35,6 +39,13 @@ def superposition():
 def test_constructor_rejects_unnormalized_amplitudes():
     with pytest.raises(ValueError, match="not normalized"):
         StateVector(AB, np.array([1.0, 1.0]))
+
+
+def test_constructor_rejects_a_nan_amplitude():
+    # NaN compares false with everything, so the gate must accept only a
+    # norm close to 1, not refuse only a norm far from it.
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(("a",), [math.nan])
 
 
 def test_constructor_rejects_duplicate_labels():
@@ -109,6 +120,33 @@ def test_normalize_rejects_zero_vector():
         normalize(AB, [0.0, 0.0])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "amps, norm",
+    [([math.inf, 1.0], "inf"), ([math.nan, 1.0], "nan"), ([1e300, 1e300], "inf")],
+)
+def test_normalize_rejects_a_vector_whose_norm_is_not_finite(amps, norm):
+    with pytest.raises(ValueError, match=f"cannot normalize .* norm is {norm}$"):
+        normalize(AB, amps)
+
+
+def test_normalize_reports_a_bad_label_before_a_non_finite_norm():
+    with pytest.raises(ValueError, match="duplicate basis label"):
+        normalize(("x", "x"), [math.inf, 1.0])
+
+
+def test_normalize_over_a_million_exemplars():
+    n = 10**6
+    labels = tuple(f"e{i}" for i in range(n))
+    raw = np.random.default_rng(3).random(n) + 0.5
+    state = normalize(labels, raw)
+    assert state.dim == n
+    assert abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0) <= 1e-12
+    norm = float(np.linalg.norm(raw.astype(complex)))
+    for k in (0, n // 2, n - 1):
+        assert state.amplitude(f"e{k}") == pytest.approx(raw[k] / norm, rel=1e-12)
+
+
 # ----------------------------------------------------------------- projectors
 
 
@@ -167,6 +205,121 @@ def test_tensor_associativity_of_amplitudes():
     right = tensor(u, tensor(v, w))
     assert left.basis == right.basis
     assert np.allclose(left.amplitudes, right.amplitudes, atol=1e-12)
+
+
+def labelled_tensor(u, v):
+    """The product over explicitly joined pair labels: the definition the
+    lazy product basis stands in for."""
+    labels = tuple(a + TENSOR_SEP + b for a in u.basis for b in v.basis)
+    return normalize(labels, np.outer(u.amplitudes, v.amplitudes).reshape(-1))
+
+
+def random_state(prefix, n, seed):
+    rng = np.random.default_rng(seed)
+    labels = tuple(f"{prefix}{i}" for i in range(n))
+    return normalize(labels, rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+def test_tensor_matches_the_labelled_product_bit_for_bit():
+    cases = [
+        (normalize(AB, [0.6, 0.8]), normalize(("one", "two"), [1.0, 2.0])),
+        (random_state("a", 300, 1), random_state("b", 300, 2)),
+        (random_state("x", 7, 3), tensor(random_state("y", 3, 4), random_state("z", 5, 5))),
+    ]
+    for u, v in cases:
+        got, want = tensor(u, v), labelled_tensor(u, v)
+        assert got.basis == want.basis
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+def test_tensor_still_refuses_pair_labels_that_collide():
+    u = StateVector(("a", "a⊗b"), [1.0, 0.0])
+    v = StateVector(("b⊗c", "c"), [1.0, 0.0])
+    with pytest.raises(ValueError, match=re.escape("duplicate basis label: 'a⊗b⊗c'")):
+        tensor(u, v)
+    # A separator on one side only cannot make two pair labels equal.
+    uv = tensor(u, basis_state(("b", "c"), "b"))
+    assert uv.dim == 4
+    # Every label of a product basis holds the separator.
+    with pytest.raises(ValueError, match=re.escape("duplicate basis label: 'a⊗b⊗b⊗c'")):
+        tensor(uv, StateVector(("c", "b⊗c"), [1.0, 0.0]))
+
+
+def test_product_basis_equals_and_hashes_like_its_tuple():
+    u = normalize(AB, [0.6, 0.8])
+    v = normalize(("one", "two", "three"), [1.0, 2.0, 2.0])
+    basis = tensor(u, v).basis
+    labels = ("alpha⊗one", "alpha⊗two", "alpha⊗three", "beta⊗one", "beta⊗two", "beta⊗three")
+    assert basis == labels and labels == basis
+    assert not basis != labels
+    assert hash(basis) == hash(labels)
+    assert {labels: "found"}[basis] == "found"
+    assert basis == tensor(u, v).basis and hash(basis) == hash(tensor(u, v).basis)
+    assert basis != tensor(v, u).basis
+    assert basis != list(labels) and basis != labels[:-1]
+    # Different factors can still join to the same labels.
+    ab_c = tensor(StateVector(("a⊗b",), [1.0]), StateVector(("c",), [1.0])).basis
+    a_bc = tensor(StateVector(("a",), [1.0]), StateVector(("b⊗c",), [1.0])).basis
+    assert ab_c == a_bc == ("a⊗b⊗c",) and hash(ab_c) == hash(a_bc)
+    assert not isinstance(basis, tuple)
+    assert len(basis) == 6 and list(basis) == list(labels)
+    assert basis[4] == "beta⊗two" and basis[-1] == "beta⊗three"
+    assert basis[1:3] == labels[1:3]
+    assert "alpha" in repr(basis) and "three" in repr(basis)
+
+
+def test_product_basis_lookups_at_300_by_300():
+    u, v = random_state("a", 300, 6), random_state("b", 300, 7)
+    w = tensor(u, v)
+    assert w.dim == 90_000
+    for i, j in ((0, 0), (150, 150), (299, 299)):
+        label = f"a{i}{TENSOR_SEP}b{j}"
+        k = 300 * i + j
+        assert w.basis[k] == label
+        assert w.index(label) == k
+        assert w.amplitude(label) == w.amplitudes[k]
+    with pytest.raises(ValueError, match="unknown basis label 'a0⊗a0'"):
+        w.index("a0⊗a0")
+
+
+def tensor_peak_bytes(u, v):
+    tracemalloc.start()
+    try:
+        tensor(u, v)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tensor_at_300_by_300_builds_no_pair_labels():
+    u, v = random_state("a", 300, 8), random_state("b", 300, 9)
+    # The amplitudes are 1.4 MB; 90,000 label strings would add ~10 MB more.
+    assert tensor_peak_bytes(u, v) < 6_000_000
+    # Nor are the labels of a product factor built.
+    assert tensor_peak_bytes(tensor(u, v), basis_state(("c",), "c")) < 6_000_000
+
+
+def test_a_chain_of_five_products_groups_either_way():
+    factors = [random_state(f"f{k}.", 8, 20 + k) for k in range(5)]
+    left = factors[0]
+    for f in factors[1:]:
+        left = tensor(left, f)
+    right = factors[-1]
+    for f in reversed(factors[:-1]):
+        right = tensor(f, right)
+    assert left.dim == right.dim == 8**5
+    assert left.basis == right.basis
+    assert np.allclose(left.amplitudes, right.amplitudes, atol=1e-12, rtol=0)
+    rng = np.random.default_rng(25)
+    for k in (0, 8**5 - 1, *rng.integers(0, 8**5, size=8)):
+        digits = np.unravel_index(k, (8,) * 5)
+        label = TENSOR_SEP.join(f.basis[d] for f, d in zip(factors, digits))
+        assert left.basis[k] == right.basis[k] == label
+        assert left.index(label) == right.index(label) == k
+        assert left.amplitude(label) == pytest.approx(right.amplitude(label), abs=1e-12)
+    assert list(left.basis) == [
+        TENSOR_SEP.join(p) for p in itertools.product(*(f.basis for f in factors))
+    ]
 
 
 # ------------------------------------------------------------------ born_prob

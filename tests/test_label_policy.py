@@ -7,8 +7,9 @@ import contextprob
 
 PACKAGE = Path(contextprob.__file__).parent
 
-#: Field annotations that hold labels: a label tuple, or a mapping keyed by label.
-LABEL_FIELDS = ("tuple[str, ...]", "Mapping[str, ")
+#: Field annotations that hold labels: a label tuple or sequence, or a
+#: mapping keyed by label.
+LABEL_FIELDS = ("tuple[str, ...]", "Sequence[str]", "Mapping[str, ")
 
 
 def labelled_classes(path):
