@@ -62,12 +62,6 @@ class _ProductBasis(Sequence[str]):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _ProductBasis):
-            if (
-                len(self._left) == len(other._left)
-                and self._left == other._left
-                and self._right == other._right
-            ):
-                return True
             other = other._tuple()
         elif not isinstance(other, tuple):
             return NotImplemented
