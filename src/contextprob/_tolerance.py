@@ -2,9 +2,10 @@
 
 Each module reads its tolerances from here rather than spelling a literal.
 Only ``RESIDUAL_TOL`` can be overridden, by ``realizable(tol)``,
-``product_equality_check(tol)`` and the CLI's two ``--tolerance`` flags;
-the others are fixed. Exact decisions (the CHSH and positivity facets)
-take no tolerance at all.
+``product_equality_check(tol)`` and the CLI's two ``--tolerance`` flags,
+which all check the value through ``check_tolerance``; the others are
+fixed. Exact decisions (the CHSH and positivity facets) take no tolerance
+at all.
 """
 
 #: Rounding slack of a float sum of a few terms near 1 or 2: unit norms,
@@ -23,3 +24,10 @@ GRID_SLACK = 1e-9
 #: Mixture weights at or below this count as unused strategies and are left
 #: out of the kolmo report.
 WEIGHT_CUTOFF = 1e-15
+
+
+def check_tolerance(tol: float) -> float:
+    """``tol`` as a float; a ValueError unless it is a non-negative number."""
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be a non-negative number, got {tol!r}")
+    return float(tol)

@@ -9,14 +9,17 @@ four single-side expectations. The primary functional is
 whose classical ceiling is 2. The full battery takes the maximum of all
 eight sign placements (one relative minus, anywhere, times a global flip);
 a table is classically explainable exactly when every form stays at or
-below 2.
+below 2. A table computes the exact slack 2 - s.E of each form once, and
+every answer about its forms reads those eight floats.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ._labels import distinct_labels
-from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL
+from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, check_tolerance
 
 #: All eight sign placements: one minus among the four terms, up to a
 #: global flip, i.e. every sign tuple with an odd number of -1 entries.
@@ -34,8 +37,11 @@ CHSH_FORMS: tuple[tuple[int, int, int, int], ...] = tuple(
 
 
 def _check_expectation(value: float, where: str) -> float:
-    v = float(value)
-    if not math.isfinite(v) or not (-1.0 <= v <= 1.0):
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        v = math.nan
+    if not -1.0 <= v <= 1.0:
         raise ValueError(f"expectation out of range at {where}: {value!r}")
     return v
 
@@ -44,25 +50,21 @@ def _check_expectation(value: float, where: str) -> float:
 class CorrelationTable:
     """Joint expectations for a 2x2 settings grid, plus optional singles.
 
-    ``joint[i][j]`` pairs row context i with column context j. When given,
-    ``singles_a`` follows the row contexts and ``singles_b`` the columns.
+    ``joint[i][j]`` pairs row context i with column context j; it is stored
+    as a tuple of two float pairs. When given, ``singles_a`` follows the row
+    contexts and ``singles_b`` the columns.
     """
 
     row_contexts: tuple[str, str]
     col_contexts: tuple[str, str]
-    joint: np.ndarray
+    joint: tuple[tuple[float, float], tuple[float, float]]
     singles_a: tuple[float, float] | None = None
     singles_b: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         rows = _context_pair(self.row_contexts, "row")
         cols = _context_pair(self.col_contexts, "col")
-        joint = np.array(self.joint, dtype=float)
-        if joint.shape != (2, 2):
-            raise ValueError(f"joint expectations must be 2x2, got shape {joint.shape}")
-        for i, j in itertools.product(range(2), range(2)):
-            _check_expectation(joint[i, j], f"({rows[i]!r}, {cols[j]!r})")
-        joint.flags.writeable = False
+        joint = _joint_grid(self.joint, rows, cols)
         singles_a = _singles(self.singles_a, rows)
         singles_b = _singles(self.singles_b, cols)
         if (singles_a is None) != (singles_b is None):
@@ -79,8 +81,38 @@ class CorrelationTable:
 
     def joints_flat(self) -> tuple[float, float, float, float]:
         """The four joints in row-major order."""
-        j = self.joint
-        return (float(j[0, 0]), float(j[0, 1]), float(j[1, 0]), float(j[1, 1]))
+        return (*self.joint[0], *self.joint[1])
+
+    @functools.cached_property
+    def _chsh_slacks(self) -> tuple[float, ...]:
+        """2 - s.E for each form s of ``CHSH_FORMS``, computed once per table.
+
+        Each slack is a ``math.fsum`` of five floats, so it is correctly
+        rounded and its sign is exact.
+        """
+        (e00, e01), (e10, e11) = self.joint
+        return tuple(
+            math.fsum((2.0, -s0 * e00, -s1 * e01, -s2 * e10, -s3 * e11))
+            for s0, s1, s2, s3 in CHSH_FORMS
+        )
+
+
+def _joint_grid(joint, rows, cols) -> tuple[tuple[float, float], tuple[float, float]]:
+    """``joint`` as two rows of two checked floats.
+
+    A cell with a length (a list, an array, a string) is no number, so a
+    grid holding one is not 2x2 either.
+    """
+    try:
+        (e00, e01), (e10, e11) = joint
+    except (TypeError, ValueError):
+        e00 = e01 = e10 = e11 = ()  # has a length: reported as the shape below
+    if any(hasattr(v, "__len__") for v in (e00, e01, e10, e11)):
+        raise ValueError(f"joint expectations must be 2x2, got {reprlib.repr(joint)}")
+    return tuple(
+        tuple(_check_expectation(v, f"({r!r}, {c!r})") for c, v in zip(cols, pair))
+        for r, pair in zip(rows, ((e00, e01), (e10, e11)))
+    )
 
 
 def _context_pair(labels, kind: str) -> tuple[str, str]:
@@ -98,10 +130,7 @@ def _singles(values, contexts) -> tuple[float, float] | None:
     vals = tuple(values)
     if len(vals) != 2:
         raise ValueError(f"need exactly two single-side expectations, got {values!r}")
-    return (
-        _check_expectation(vals[0], f"single ({contexts[0]!r})"),
-        _check_expectation(vals[1], f"single ({contexts[1]!r})"),
-    )
+    return tuple(_check_expectation(v, f"single ({c!r})") for c, v in zip(contexts, vals))
 
 
 def bell_value(table: CorrelationTable) -> float:
@@ -111,11 +140,14 @@ def bell_value(table: CorrelationTable) -> float:
 
 
 def bell_value_all_forms(table: CorrelationTable) -> float:
-    """Maximum of |s0*E00 + s1*E01 + s2*E10 + s3*E11| over all eight forms."""
-    joints = table.joints_flat()
-    return max(
-        abs(sum(s * e for s, e in zip(signs, joints))) for signs in CHSH_FORMS
-    )
+    """Maximum of |s0*E00 + s1*E01 + s2*E10 + s3*E11| over all eight forms.
+
+    The forms are closed under a global sign flip, so the maximum is the
+    largest s.E, which is 2 minus the table's smallest exact CHSH slack:
+    within one rounding of the exact maximum, and the same float that
+    ``polytope.classify`` bands and a bell-form witness reports.
+    """
+    return 2.0 - min(table._chsh_slacks)
 
 
 def is_violated(value: float) -> bool:
@@ -145,6 +177,7 @@ def product_equality_check(
     placement of the functional evaluates to exactly 2, so no violation is
     possible.
     """
+    tol = check_tolerance(tol)
     s = tuple(_check_expectation(v, f"singles[{i}]") for i, v in enumerate(singles))
     j = tuple(_check_expectation(v, f"joints[{i}]") for i, v in enumerate(joints))
     if len(s) != 4 or len(j) != 4:
@@ -156,7 +189,7 @@ def product_equality_check(
         for r in range(2)
     )
     all_hold = all(cells[r][c] for r in range(2) for c in range(2))
-    return ProductEqualityResult(cells, all_hold, float(tol))
+    return ProductEqualityResult(cells, all_hold, tol)
 
 
 @dataclass(frozen=True)
@@ -192,11 +225,10 @@ def pet_food_table(scenario: PetFoodScenario) -> CorrelationTable:
     probability goes from 0 to 1.
     """
     p = scenario.odd_event_probability
-    joint = np.array([[2.0 * p - 1.0, 1.0], [1.0, 1.0]])
     return CorrelationTable(
         _PET_FOOD_ROWS,
         _PET_FOOD_COLS,
-        joint,
+        ((2.0 * p - 1.0, 1.0), (1.0, 1.0)),
         singles_a=(1.0, 1.0),
         singles_b=(1.0, 1.0),
     )
@@ -270,9 +302,9 @@ def load_scenario(path: str | Path) -> CorrelationTable:
         if has_p:
             return pet_food_table(PetFoodScenario(data["odd_event_probability"]))
         return CorrelationTable(
-            tuple(data.get("row_contexts", ("row-0", "row-1"))),
-            tuple(data.get("col_contexts", ("col-0", "col-1"))),
-            np.array(data["joint"], dtype=float),
+            data.get("row_contexts", ("row-0", "row-1")),
+            data.get("col_contexts", ("col-0", "col-1")),
+            data["joint"],
             singles_a=tuple(data["singles_a"]) if "singles_a" in data else None,
             singles_b=tuple(data["singles_b"]) if "singles_b" in data else None,
         )

@@ -66,7 +66,7 @@ def _table_record(table: bell.CorrelationTable) -> dict:
     return {
         "row_contexts": list(table.row_contexts),
         "col_contexts": list(table.col_contexts),
-        "joint": [[float(v) for v in row] for row in table.joint],
+        "joint": [list(row) for row in table.joint],
         "singles_a": list(table.singles_a) if table.has_singles else None,
         "singles_b": list(table.singles_b) if table.has_singles else None,
     }

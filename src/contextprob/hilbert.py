@@ -209,15 +209,21 @@ def normalize(basis: Sequence[str], amplitudes: Sequence[complex]) -> StateVecto
     """Scale a raw amplitude vector to unit norm.
 
     Vectors whose norm is at or below ``DEFAULT_TOL`` are treated as zero
-    and rejected, since no direction can be recovered from them. A norm
-    that is not finite (a NaN or infinite amplitude, or an overflow) is
-    rejected too.
+    and rejected, since no direction can be recovered from them. A NaN or
+    infinite amplitude is rejected too; a finite vector whose norm overflows
+    is scaled by its largest modulus first.
     """
     b = basis if isinstance(basis, _ProductBasis) else tuple(basis)
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if amps.shape[0] != len(b):
         raise ValueError(f"{amps.shape[0]} amplitudes for {len(b)} basis labels")
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(amps))
+    if norm == math.inf:  # overflowed squares, or an infinite amplitude
+        top = float(np.max(np.abs(amps)))
+        if top < math.inf:
+            amps = amps / top
+            norm = float(np.linalg.norm(amps))
     if not DEFAULT_TOL < norm < math.inf:
         distinct_labels(b, "basis")  # a bad label is reported before a bad vector
         if norm <= DEFAULT_TOL:

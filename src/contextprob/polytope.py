@@ -8,6 +8,9 @@ below 2 (Fine 1982, PRL 48 291); with singles, the 16 outcome-probability
 positivity facets join them (Froissart 1981; Collins & Gisin 2004). Every
 facet slack is a sum of at most five floats times +1/-1, so ``math.fsum``
 returns it correctly rounded and its sign, hence the decision, is exact.
+The eight CHSH slacks are the table's own, computed once by
+``CorrelationTable``; ``classify``, ``primary_violated`` and ``realizable``
+all read them. The positivity slacks are computed here, for ``realizable``.
 
 Mixture weights for a classical table come in closed form from Fine's
 chordal construction; the test suite holds the decision against an
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL
+from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, check_tolerance
 from .bell import CorrelationTable, CHSH_FORMS
 
 #: Largest functional value reachable by tensor-product measurements on a
@@ -110,16 +113,13 @@ def realizable(table: CorrelationTable, tol: float = RESIDUAL_TOL) -> Realizabil
     sup-norm residual of the returned weights; a ValueError reports a
     feasible table whose weights miss it by more.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tolerance must be a non-negative number, got {tol!r}")
-    joints = table.joints_flat()
-    chsh = _chsh_slacks(joints)
-    positivity = _positivity_slacks(table) if table.has_singles else []
-    found = _witness(table, chsh, positivity)
+    check_tolerance(tol)
+    found = _witness(table)
     if found is not None:
         witness, slack = found
         return RealizabilityResult(False, None, witness, -slack)
 
+    joints = table.joints_flat()
     singles_a = table.singles_a or (0.0, 0.0)
     singles_b = table.singles_b or (0.0, 0.0)
     weights = _fine_weights(joints, singles_a, singles_b)
@@ -131,15 +131,6 @@ def realizable(table: CorrelationTable, tol: float = RESIDUAL_TOL) -> Realizabil
             f"above the tolerance {tol!r}"
         )
     return RealizabilityResult(True, tuple(weights), None, residual)
-
-
-def _chsh_slacks(joints) -> list[float]:
-    """2 - s.E for each of the eight CHSH sign forms s."""
-    e00, e01, e10, e11 = joints
-    return [
-        math.fsum((2.0, -s0 * e00, -s1 * e01, -s2 * e10, -s3 * e11))
-        for s0, s1, s2, s3 in CHSH_FORMS
-    ]
 
 
 #: (row, col, row outcome, col outcome) of each positivity facet.
@@ -155,15 +146,18 @@ def _positivity_slacks(table: CorrelationTable) -> list[float]:
     ]
 
 
-def _witness(table: CorrelationTable, chsh, positivity) -> tuple[Witness, float] | None:
+def _witness(table: CorrelationTable) -> tuple[Witness, float] | None:
     """The most violated facet and its slack, or None if no slack is negative.
 
-    A violated CHSH form is reported before any positivity facet.
+    A violated CHSH form is reported before any positivity facet, with the
+    value 2 - slack, the float ``bell_value_all_forms`` gives. The
+    positivity slacks are computed only when no CHSH form is violated.
     """
+    chsh = table._chsh_slacks
     slack = min(chsh)
     if slack < 0.0:
         signs = CHSH_FORMS[chsh.index(slack)]
-        value = math.fsum(s * e for s, e in zip(signs, table.joints_flat()))
+        value = 2.0 - slack
         terms = " ".join(
             f"{'+' if s > 0 else '-'}E{i // 2}{i % 2}" for i, s in enumerate(signs)
         )
@@ -175,6 +169,7 @@ def _witness(table: CorrelationTable, chsh, positivity) -> tuple[Witness, float]
             signs=signs,
         )
         return witness, slack
+    positivity = _positivity_slacks(table) if table.has_singles else []
     if positivity and min(positivity) < 0.0:
         q = min(positivity)
         i, j, sa, sb = _OUTCOMES[positivity.index(q)]
@@ -266,6 +261,12 @@ def is_kolmogorovian(table: CorrelationTable) -> bool:
     return classify(table) == CLASSICAL
 
 
+#: Positions in ``CHSH_FORMS`` of the forms a(E00 - E01) + b(E10 + E11).
+_PRIMARY_FORMS = tuple(
+    k for k, (s0, s1, s2, s3) in enumerate(CHSH_FORMS) if s1 == -s0 and s2 == s3
+)
+
+
 def primary_violated(table: CorrelationTable) -> bool:
     """Whether |E00 - E01| + |E10 + E11| exceeds 2, decided exactly.
 
@@ -274,12 +275,7 @@ def primary_violated(table: CorrelationTable) -> bool:
     their exact slacks is negative, so a table just past the facet reads
     violated even where the float sum of the functional gives 2.
     """
-    slacks = _chsh_slacks(table.joints_flat())
-    return any(
-        slack < 0.0
-        for (s0, s1, s2, s3), slack in zip(CHSH_FORMS, slacks)
-        if s1 == -s0 and s2 == s3
-    )
+    return any(table._chsh_slacks[k] < 0.0 for k in _PRIMARY_FORMS)
 
 
 def classify(table: CorrelationTable) -> str:
@@ -291,7 +287,7 @@ def classify(table: CorrelationTable) -> str:
     under a global sign flip), splits the bands at 2*sqrt(2), within
     ``DEFAULT_TOL``.
     """
-    slack = min(_chsh_slacks(table.joints_flat()))
+    slack = min(table._chsh_slacks)
     if slack >= 0.0:
         return CLASSICAL
     if 2.0 - slack <= TSIRELSON_BOUND + DEFAULT_TOL:

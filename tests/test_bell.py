@@ -1,9 +1,11 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contextprob.bell import (
     CHSH_FORMS,
@@ -51,6 +53,49 @@ def test_table_rejects_out_of_range_entry():
 def test_table_rejects_wrong_shape():
     with pytest.raises(ValueError, match="2x2"):
         CorrelationTable(ROWS, COLS, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "joint, message",
+    [
+        (0.5, "must be 2x2"),
+        ([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], "must be 2x2"),
+        ([[0.1, 0.2], [0.3]], "must be 2x2"),
+        ("abcd", "must be 2x2"),
+        ([[[0.1], [0.2]], [[0.3], [0.4]]], "must be 2x2"),
+        ({"a": [0.1, 0.2], "b": [0.3, 0.4]}, "must be 2x2"),
+        ([[0.1, None], [0.3, 0.4]], r"out of range at \('r0', 'c1'\): None"),
+        ([[0.1, 0.2], [math.nan, 0.4]], r"out of range at \('r1', 'c0'\): nan"),
+        ([[0.1, 0.2], [0.3, "0.4"]], "must be 2x2"),
+        (["10", "01"], "must be 2x2"),
+        ([[10**400, 0.2], [0.3, 0.4]], r"out of range at \('r0', 'c0'\)"),
+    ],
+    ids=[
+        "scalar", "2x3", "ragged", "string", "3-D", "dict",
+        "None-cell", "nan-cell", "text-cell", "text-rows", "huge-int-cell",
+    ],
+)
+def test_every_malformed_joint_is_a_value_error(joint, message):
+    with pytest.raises(ValueError, match=message):
+        CorrelationTable(ROWS, COLS, joint)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CorrelationTable(ROWS, COLS, np.array([[0.5, -1], [0, 1]])),
+        lambda: CorrelationTable(ROWS, COLS, [[0.5, -1], [0, 1]]),
+        lambda: pet_food_table(PetFoodScenario(0.25)),
+        lambda: load_scenario(fixture_path("tsirelson_pattern.json")),
+    ],
+    ids=["numpy", "lists", "pet-food", "scenario"],
+)
+def test_table_joint_is_a_tuple_of_two_float_pairs(make):
+    joint = make().joint
+    assert type(joint) is tuple and len(joint) == 2
+    for row in joint:
+        assert type(row) is tuple and len(row) == 2
+        assert all(type(v) is float for v in row)
 
 
 def test_table_requires_singles_on_both_sides_or_neither():
@@ -109,6 +154,16 @@ def test_all_forms_matches_independent_enumeration():
         )
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_all_forms_is_within_one_rounding_of_the_exact_maximum(joints):
+    exact = max(
+        abs(sum(s * Fraction(e) for s, e in zip(signs, joints))) for signs in CHSH_FORMS
+    )
+    value = bell_value_all_forms(table([joints[:2], joints[2:]]))
+    assert abs(Fraction(value) - exact) <= Fraction(1e-15)
+
+
 def test_all_forms_dominates_primary_functional():
     rng = np.random.default_rng(19)
     for _ in range(300):
@@ -158,6 +213,12 @@ def test_product_equality_accepts_product_generated_joints():
 
 def test_product_equality_degenerate_tolerance_accepts_anything():
     assert product_equality_check((1, 1, 1, 1), (-1, 1, 1, 1), tol=2.0).all_hold
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_product_equality_checks_its_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance must be a non-negative number"):
+        product_equality_check((1, 1, 1, 1), (1, 1, 1, 1), tol=tol)
 
 
 def test_product_equality_validates_ranges():

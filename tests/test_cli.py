@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from contextprob import bell
 from contextprob.cli import main
 from contextprob.fixtures import fixture_path
 
@@ -351,6 +353,30 @@ def test_kolmo_rejects_a_negative_tolerance(capsys):
     assert err.startswith("error: tolerance must be a non-negative number")
 
 
+@pytest.mark.parametrize("command", ["bell", "kolmo"])
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_both_tolerance_flags_are_checked_alike(capsys, command, tol):
+    code, out, err = run(capsys, [command, "--odd-event", "0", "--tolerance", tol])
+    assert (code, out) == (1, "")
+    assert err == f"error: tolerance must be a non-negative number, got {float(tol)!r}\n"
+
+
+@pytest.mark.parametrize("command", ["bell", "kolmo"])
+def test_a_run_computes_the_chsh_slacks_once(capsys, monkeypatch, command):
+    computed = []
+    slacks = bell.CorrelationTable.__dict__["_chsh_slacks"]
+
+    def counted(table):
+        computed.append(table)
+        return slacks.func(table)
+
+    counting = functools.cached_property(counted)
+    counting.__set_name__(bell.CorrelationTable, "_chsh_slacks")
+    monkeypatch.setattr(bell.CorrelationTable, "_chsh_slacks", counting)
+    run_report(capsys, [command, "--scenario", QUANTUM_PATTERN])
+    assert len(computed) == 1
+
+
 def test_kolmo_accepts_the_fully_mixed_scenario(capsys):
     report = run_report(capsys, ["kolmo", "--odd-event", "1"])
     results = report["results"]
@@ -397,6 +423,29 @@ def test_file_that_is_not_utf8_is_named(capsys, tmp_path, monkeypatch, name, arg
         f"error: {name}: 'utf-8' codec can't decode byte 0xff in position 13: "
         "invalid start byte\n"
     )
+
+
+@pytest.mark.parametrize(
+    "joint, message",
+    [
+        (
+            [[[0.1], [0.2]], [[0.3], [0.4]]],
+            "joint expectations must be 2x2, got [[[0.1], [0.2]], [[0.3], [0.4]]]",
+        ),
+        (
+            [[0.1, None], [0.3, 0.4]],
+            "expectation out of range at ('row-0', 'col-1'): None",
+        ),
+    ],
+    ids=["3-D", "None-cell"],
+)
+def test_malformed_scenario_joint_is_an_error_line(
+    capsys, tmp_path, monkeypatch, joint, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "j.json").write_text(json.dumps({"joint": joint}))
+    code, out, err = run(capsys, ["kolmo", "--scenario", "j.json"])
+    assert (code, out, err) == (1, "", f"error: j.json: {message}\n")
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from contextprob._tolerance import DEFAULT_TOL
 from contextprob.bell import CorrelationTable, bell_value_all_forms
+from contextprob.cli import main
 from contextprob.polytope import (
     CLASSICAL,
     QUANTUM_ACHIEVABLE,
@@ -417,6 +420,71 @@ def test_classify_agrees_with_realizable_at_the_chsh_facet(delta, side):
         assert feasible == (side < 0)
         assert (classify(t) == CLASSICAL) == feasible
         assert is_kolmogorovian(t) == feasible
+
+
+@pytest.fixture
+def kolmo(capsys, tmp_path):
+    """The results of a kolmo report on a joints-only table."""
+
+    def report(t):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"joint": [list(row) for row in t.joint]}))
+        assert main(["kolmo", "--scenario", str(path)]) == 0
+        return json.loads(capsys.readouterr().out)["results"]
+
+    return report
+
+
+def assert_one_answer(t, kolmo=None):
+    """classify, realizable, is_kolmogorovian, bell_value_all_forms and the
+    kolmo report give one answer on a joints-only table."""
+    value = bell_value_all_forms(t)
+    result = realizable(t)
+    band = classify(t)
+    assert (band == CLASSICAL) == result.feasible == is_kolmogorovian(t)
+    if result.feasible:
+        assert value <= 2.0
+    else:
+        above = value > TSIRELSON_BOUND + DEFAULT_TOL
+        assert band == (SUPRA_QUANTUM if above else QUANTUM_ACHIEVABLE)
+        assert result.witness.value == value
+    if kolmo is not None:
+        report = kolmo(t)
+        assert (report["classification"], report["all_forms_value"]) == (band, value)
+        if report["witness"] is not None:
+            assert report["witness"]["value"] == report["all_forms_value"]
+
+
+@pytest.mark.parametrize("side", (1, -1))
+@pytest.mark.parametrize("delta", (1e-14, 1e-13, *DELTAS))
+def test_one_answer_per_table_at_the_chsh_facet(kolmo, delta, side):
+    signs = (1, 1, 1, -1)
+    push = np.r_[np.array(signs) * side * delta / 4.0, np.zeros(4)]
+    rng = np.random.default_rng([4, round(-math.log10(delta)), side + 1])
+    for _ in range(5):
+        t = facet_table(
+            rng, lambda s: np.dot(signs, s.joint_products()) == 2, push, False
+        )
+        assert_one_answer(t, kolmo)
+
+
+@pytest.mark.parametrize("side", (1, -1))
+@pytest.mark.parametrize("e01", (0.75, -0.75))
+def test_one_answer_per_table_one_ulp_from_the_facet(kolmo, e01, side):
+    # One CHSH form is 2 + side * 2**-54 exactly; its plain float sum is 2.
+    assert_one_answer(table([[1.0, e01], [0.25 + side * 2.0**-54, 0.0]]), kolmo)
+
+
+def test_one_answer_per_random_non_classical_table(kolmo):
+    rng = np.random.default_rng(61)
+    seen = 0
+    for _ in range(3000):
+        t = table(rng.uniform(-1, 1, size=(2, 2)))
+        if realizable(t).feasible:
+            continue
+        seen += 1
+        assert_one_answer(t, kolmo if seen <= 200 else None)
+    assert seen > 900
 
 
 def test_primary_violated_matches_exact_rational_arithmetic():
