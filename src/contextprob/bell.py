@@ -10,7 +10,8 @@ whose classical ceiling is 2. The full battery takes the maximum of all
 eight sign placements (one relative minus, anywhere, times a global flip);
 a table is classically explainable exactly when every form stays at or
 below 2. A table computes the exact slack 2 - s.E of each form once, and
-every answer about its forms reads those eight floats.
+every answer about its forms reads those eight floats; the largest form
+value is then one exact sum for each form tied at the smallest slack.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ CHSH_FORMS: tuple[tuple[int, int, int, int], ...] = tuple(
 
 
 def _check_expectation(value: float, where: str) -> float:
+    """``value`` as a float in [-1, 1]; text is no number, even "0.5"."""
     try:
-        v = float(value)
+        v = math.nan if isinstance(value, (str, bytes)) else float(value)
     except (TypeError, ValueError, OverflowError):
         v = math.nan
     if not -1.0 <= v <= 1.0:
@@ -96,6 +98,26 @@ class CorrelationTable:
             for s0, s1, s2, s3 in CHSH_FORMS
         )
 
+    @functools.cached_property
+    def _top_form(self) -> tuple[float, tuple[int, int, int, int]]:
+        """The largest s.E over ``CHSH_FORMS``, correctly rounded, and its s.
+
+        Rounding is monotone, so the largest exact s.E is among the forms
+        tied at the smallest slack; each of those is one ``math.fsum``. Of
+        equal values the first form in ``CHSH_FORMS`` wins, as that order
+        is descending.
+        """
+        low = min(self._chsh_slacks)
+        (e00, e01), (e10, e11) = self.joint
+        if self._chsh_slacks.count(low) == 1:  # one form at the minimum, as usual
+            s0, s1, s2, s3 = s = CHSH_FORMS[self._chsh_slacks.index(low)]
+            return math.fsum((s0 * e00, s1 * e01, s2 * e10, s3 * e11)), s
+        return max(
+            (math.fsum((s[0] * e00, s[1] * e01, s[2] * e10, s[3] * e11)), s)
+            for s, slack in zip(CHSH_FORMS, self._chsh_slacks)
+            if slack == low
+        )
+
 
 def _joint_grid(joint, rows, cols) -> tuple[tuple[float, float], tuple[float, float]]:
     """``joint`` as two rows of two checked floats.
@@ -143,11 +165,10 @@ def bell_value_all_forms(table: CorrelationTable) -> float:
     """Maximum of |s0*E00 + s1*E01 + s2*E10 + s3*E11| over all eight forms.
 
     The forms are closed under a global sign flip, so the maximum is the
-    largest s.E, which is 2 minus the table's smallest exact CHSH slack:
-    within one rounding of the exact maximum, and the same float that
-    ``polytope.classify`` bands and a bell-form witness reports.
+    largest s.E, correctly rounded: the same float that ``polytope.classify``
+    bands and a bell-form witness reports.
     """
-    return 2.0 - min(table._chsh_slacks)
+    return table._top_form[0]
 
 
 def is_violated(value: float) -> bool:

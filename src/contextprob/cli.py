@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bell, concepts, entangle, polytope, semspace
-from ._tolerance import DEFAULT_TOL, GRID_SLACK, RESIDUAL_TOL, WEIGHT_CUTOFF
+from ._tolerance import DEFAULT_TOL, GRID_SLACK, RESIDUAL_TOL, WEIGHT_CUTOFF, check_tolerance
 
 SCHEMA_VERSION = 1
 
@@ -35,7 +35,7 @@ def _digest(path: str | Path) -> str:
 
 def _resolve_context(table: concepts.RatingTable, query: str) -> str:
     """Exact context label, or a unique case-insensitive substring of one."""
-    if query in table.contexts:
+    if query in table.contexts.positions:
         return query
     hits = [c for c in table.contexts if query.lower() in c.lower()]
     if len(hits) == 1:
@@ -101,13 +101,12 @@ def _cmd_ratings(args):
 
 def _cmd_bell(args):
     table, inputs = _load_table(args)
+    tol = check_tolerance(args.tolerance)  # checked with or without singles
     value = bell.bell_value(table)
     product = None
     if table.has_singles:
         check = bell.product_equality_check(
-            (*table.singles_a, *table.singles_b),
-            table.joints_flat(),
-            tol=args.tolerance,
+            (*table.singles_a, *table.singles_b), table.joints_flat(), tol=tol
         )
         product = {
             "cells": [list(row) for row in check.cells],

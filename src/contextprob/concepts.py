@@ -6,7 +6,7 @@ each exemplar as a good example of the concept under that context; taking
 square roots of those probabilities gives the concept's state vector for
 the context.
 
-Table text format (tab-separated by default)::
+Table text format (tab-separated)::
 
     exemplar<TAB>context label 1<TAB>context label 2
     rabbit<TAB>0.07<TAB>2.52
@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._labels import distinct_labels
+from ._labels import Labels, distinct_labels
 from ._tolerance import DEFAULT_TOL
 from .hilbert import StateVector
 
@@ -67,8 +67,8 @@ class RatingTable:
 
     def context_index(self, context: str) -> int:
         try:
-            return self.contexts.index(context)
-        except ValueError:
+            return self.contexts.positions[context]
+        except KeyError:
             raise ValueError(
                 f"unknown context {context!r}; available contexts: "
                 + ", ".join(repr(c) for c in self.contexts)
@@ -76,8 +76,8 @@ class RatingTable:
 
     def exemplar_index(self, exemplar: str) -> int:
         try:
-            return self.exemplars.index(exemplar)
-        except ValueError:
+            return self.exemplars.positions[exemplar]
+        except KeyError:
             raise ValueError(
                 f"unknown exemplar {exemplar!r}; available exemplars: "
                 + ", ".join(repr(x) for x in self.exemplars)
@@ -123,10 +123,11 @@ class ContextDistribution:
         if abs(total - 1.0) > DEFAULT_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "probabilities", dict(zip(labels, probs)))
+        object.__setattr__(self, "_exemplars", labels)
 
     @property
-    def exemplars(self) -> tuple[str, ...]:
-        return tuple(self.probabilities)
+    def exemplars(self) -> Labels:
+        return self._exemplars
 
     def probability(self, exemplar: str) -> float:
         try:
@@ -138,13 +139,13 @@ class ContextDistribution:
             ) from None
 
 
-def parse_ratings(text: str, delimiter: str = "\t") -> RatingTable:
-    """Parse rating-table text. Errors cite 1-based line numbers."""
+def parse_ratings(text: str) -> RatingTable:
+    """Parse tab-separated rating-table text. Errors cite 1-based line numbers."""
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
-        rows.append((lineno, raw.split(delimiter)))
+        rows.append((lineno, raw.split("\t")))
     if len(rows) < 2:
         raise ValueError("rating table needs a header line and at least one exemplar row")
 
@@ -188,9 +189,9 @@ def parse_ratings(text: str, delimiter: str = "\t") -> RatingTable:
     return RatingTable(tuple(exemplars), tuple(contexts), np.array(values))
 
 
-def load_ratings(path: str | Path, delimiter: str = "\t") -> RatingTable:
+def load_ratings(path: str | Path) -> RatingTable:
     try:
-        return parse_ratings(Path(path).read_text(encoding="utf-8"), delimiter=delimiter)
+        return parse_ratings(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

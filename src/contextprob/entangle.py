@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._labels import distinct_labels
+from ._labels import Labels, distinct_labels
 from ._tolerance import DEFAULT_TOL
 from .concepts import ContextDistribution
 from .hilbert import Observable
@@ -111,8 +111,7 @@ class EntangledState:
     def __post_init__(self) -> None:
         basis_a = distinct_labels(self.basis_a, "side A basis")
         basis_b = distinct_labels(self.basis_b, "side B basis")
-        pos_a = {x: i for i, x in enumerate(basis_a)}
-        pos_b = {y: j for j, y in enumerate(basis_b)}
+        pos_a, pos_b = basis_a.positions, basis_b.positions
         rows: list[int] = []
         cols: list[int] = []
         amps: list[complex] = []
@@ -129,21 +128,19 @@ class EntangledState:
         self._set(
             basis_a,
             basis_b,
-            pos_a,
-            pos_b,
             np.array(rows, dtype=np.intp),
             np.array(cols, dtype=np.intp),
             np.array(amps, dtype=complex),
         )
 
     @classmethod
-    def _from_arrays(cls, basis_a, basis_b, pos_a, pos_b, rows, cols, amps) -> EntangledState:
+    def _from_arrays(cls, basis_a, basis_b, rows, cols, amps) -> EntangledState:
         """A state from checked bases and support arrays with no zero amplitude."""
         state = object.__new__(cls)
-        state._set(basis_a, basis_b, pos_a, pos_b, rows, cols, amps)
+        state._set(basis_a, basis_b, rows, cols, amps)
         return state
 
-    def _set(self, basis_a, basis_b, pos_a, pos_b, rows, cols, amps) -> None:
+    def _set(self, basis_a, basis_b, rows, cols, amps) -> None:
         probs = np.abs(amps) ** 2
         norm_sq = float(np.sum(probs))
         if not abs(norm_sq - 1.0) <= DEFAULT_TOL:  # also refuses NaN
@@ -154,8 +151,6 @@ class EntangledState:
             "basis_a": basis_a,
             "basis_b": basis_b,
             "amplitudes": _PairAmplitudes(basis_a, basis_b, rows, cols, amps),
-            "_pos_a": pos_a,
-            "_pos_b": pos_b,
             "_rows": rows,
             "_cols": cols,
             "_amps": amps,
@@ -205,13 +200,6 @@ class _PairAmplitudes(Mapping):
         return repr(dict(self.items()))
 
 
-def _indexed(dist: ContextDistribution) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:
-    """A distribution's exemplars, their positions, and their probabilities."""
-    basis = dist.exemplars
-    probs = np.fromiter(dist.probabilities.values(), dtype=float, count=len(basis))
-    return basis, {x: i for i, x in enumerate(basis)}, probs
-
-
 def combine(
     dist_a: ContextDistribution,
     dist_b: ContextDistribution,
@@ -223,9 +211,11 @@ def combine(
     the square roots of those weights after renormalization. Fails when no
     compatible pair carries positive probability on both sides.
     """
-    basis_a, pos_a, pa = _indexed(dist_a)
-    basis_b, pos_b, pb = _indexed(dist_b)
+    basis_a, basis_b = dist_a.exemplars, dist_b.exemplars
+    pa = np.fromiter(dist_a.probabilities.values(), dtype=float, count=len(basis_a))
+    pb = np.fromiter(dist_b.probabilities.values(), dtype=float, count=len(basis_b))
     left, right, li, ri = relation._index
+    pos_a, pos_b = basis_a.positions, basis_b.positions
     at_a = [pos_a.get(x, -1) for x in left]
     at_b = [pos_b.get(y, -1) for y in right]
     if -1 in at_a or -1 in at_b:
@@ -243,9 +233,7 @@ def combine(
         )
     weights = weights[keep]
     amps = np.sqrt(weights / weights.sum()).astype(complex)
-    return EntangledState._from_arrays(
-        basis_a, basis_b, pos_a, pos_b, rows[keep], cols[keep], amps
-    )
+    return EntangledState._from_arrays(basis_a, basis_b, rows[keep], cols[keep], amps)
 
 
 def joint_expectation(state: EntangledState, obs_a: Observable, obs_b: Observable) -> float:
@@ -266,30 +254,30 @@ def joint_expectation(state: EntangledState, obs_a: Observable, obs_b: Observabl
     return min(max(total, -1.0), 1.0)
 
 
-def _side(state: EntangledState, side: str) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:
-    """One side's basis, label positions, and the support's index into it."""
+def _side(state: EntangledState, side: str) -> tuple[Labels, np.ndarray]:
+    """One side's basis and the support's index into it."""
     if side == "A":
-        return state.basis_a, state._pos_a, state._rows
+        return state.basis_a, state._rows
     if side == "B":
-        return state.basis_b, state._pos_b, state._cols
+        return state.basis_b, state._cols
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
 def marginal(state: EntangledState, side: str) -> ContextDistribution:
     """One side's exemplar distribution, summing the joint over the other."""
-    basis, _, idx = _side(state, side)
+    basis, idx = _side(state, side)
     probs = np.bincount(idx, weights=state._probs, minlength=len(basis))
     return ContextDistribution(f"marginal of side {side}", dict(zip(basis, probs.tolist())))
 
 
 def conditional_collapse(state: EntangledState, side: str, exemplar: str) -> EntangledState:
     """Condition the joint state on one side's exemplar being observed."""
-    basis, pos, idx = _side(state, side)
-    if exemplar not in pos:
+    basis, idx = _side(state, side)
+    if exemplar not in basis.positions:
         raise ValueError(
             f"unknown exemplar {exemplar!r} on side {side}; basis is {list(basis)}"
         )
-    kept = idx == pos[exemplar]
+    kept = idx == basis.positions[exemplar]
     mass = float(np.sum(state._probs[kept]))
     if mass <= DEFAULT_TOL:
         raise ValueError(
@@ -298,8 +286,6 @@ def conditional_collapse(state: EntangledState, side: str, exemplar: str) -> Ent
     return EntangledState._from_arrays(
         state.basis_a,
         state.basis_b,
-        state._pos_a,
-        state._pos_b,
         state._rows[kept],
         state._cols[kept],
         state._amps[kept] / math.sqrt(mass),
@@ -318,7 +304,7 @@ def guppy_gap(
     strictly positive gap means the combined concept rates the exemplar
     higher than either concept alone ever did.
     """
-    if exemplar not in state._pos_a or exemplar not in state._pos_b:
+    if exemplar not in state.basis_a.positions or exemplar not in state.basis_b.positions:
         raise ValueError(
             f"exemplar {exemplar!r} must appear in both bases; "
             f"side A has {list(state.basis_a)}, side B has {list(state.basis_b)}"

@@ -1,8 +1,9 @@
 """Finite-dimensional complex state spaces over labeled bases.
 
 A state is a unit-norm vector of complex amplitudes indexed by an ordered
-sequence of string labels: a tuple, or for a tensor product a lazy sequence
-of pair labels. Observables are diagonal in that basis with
+sequence of checked string labels (``_labels.Labels``, a tuple that knows
+each label's position), or for a tensor product a lazy sequence of pair
+labels. Observables are diagonal in that basis with
 eigenvalues +1/-1, and projectors are diagonal 0/1 matrices identified by
 the set of labels they keep. Everything here is immutable and every
 operation is a pure function.
@@ -12,71 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._labels import distinct_labels
+from ._labels import TENSOR_SEP, _ProductBasis, distinct_labels  # noqa: F401
 from ._tolerance import DEFAULT_TOL
-
-# Separator used for tensor-product labels. Joining flat strings keeps
-# three-factor products associative at the label level as well.
-TENSOR_SEP = "⊗"
-
-
-class _ProductBasis(Sequence[str]):
-    """The pair labels of a tensor product, built only when one is read.
-
-    Holds the two factor bases, each a checked basis (a tuple from
-    ``distinct_labels`` or another product basis). The pair label of (a, b)
-    is ``a + TENSOR_SEP + b``, left label major. The sequence is equal to,
-    and hashes like, the tuple of those labels.
-    """
-
-    __slots__ = ("_left", "_right", "_labels")
-
-    def __init__(self, left: Sequence[str], right: Sequence[str]) -> None:
-        self._left = left
-        self._right = right
-        self._labels: tuple[str, ...] | None = None
-        # Distinct factor labels give distinct pairs, and two pair labels can
-        # only coincide when a label on each side contains the separator.
-        if _has_sep(left) and _has_sep(right):
-            distinct_labels(self, "basis")
-
-    def _tuple(self) -> tuple[str, ...]:
-        if self._labels is None:
-            heads = [a + TENSOR_SEP for a in self._left]
-            self._labels = tuple(p + b for p in heads for b in self._right)
-        return self._labels
-
-    def __len__(self) -> int:
-        return len(self._left) * len(self._right)
-
-    def __getitem__(self, i):
-        return self._tuple()[i]
-
-    def __iter__(self):
-        return iter(self._tuple())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _ProductBasis):
-            other = other._tuple()
-        elif not isinstance(other, tuple):
-            return NotImplemented
-        return self._tuple() == other
-
-    def __hash__(self) -> int:
-        return hash(self._tuple())
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._left!r}, {self._right!r})"
-
-
-def _has_sep(basis: Sequence[str]) -> bool:
-    return isinstance(basis, _ProductBasis) or TENSOR_SEP in "".join(basis)
-
 
 def _same_basis(a, b, op: str) -> None:
     if a.basis != b.basis:
@@ -93,9 +35,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        basis = self.basis
-        if not isinstance(basis, _ProductBasis):  # checked when it was built
-            basis = distinct_labels(basis, "basis")
+        basis = distinct_labels(self.basis, "basis")
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape[0] != len(basis):
             raise ValueError(
@@ -112,14 +52,9 @@ class StateVector:
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def _pos(self) -> dict[str, int]:
-        # Built on first use: tensor() makes large states that are never indexed.
-        return {x: i for i, x in enumerate(self.basis)}
-
     def index(self, label: str) -> int:
         try:
-            return self._pos[label]
+            return self.basis.positions[label]
         except KeyError:
             raise ValueError(
                 f"unknown basis label {label!r}; basis is {list(self.basis)}"
@@ -143,7 +78,7 @@ class Projector:
     def __post_init__(self) -> None:
         basis = distinct_labels(self.basis, "basis")
         support = frozenset(self.support)
-        stray = support - set(basis)
+        stray = support.difference(basis.positions)
         if stray:
             raise ValueError(
                 f"projector support not in basis: {sorted(stray)!r}"
@@ -198,10 +133,10 @@ def sign_projectors(obs: Observable) -> tuple[Projector, Projector]:
 def basis_state(basis: Sequence[str], label: str) -> StateVector:
     """The state with all amplitude on one label."""
     b = distinct_labels(basis, "basis")
-    if label not in b:
+    if label not in b.positions:
         raise ValueError(f"unknown basis label {label!r}; basis is {list(b)}")
     amps = np.zeros(len(b), dtype=complex)
-    amps[b.index(label)] = 1.0
+    amps[b.positions[label]] = 1.0
     return StateVector(b, amps)
 
 
@@ -213,7 +148,7 @@ def normalize(basis: Sequence[str], amplitudes: Sequence[complex]) -> StateVecto
     infinite amplitude is rejected too; a finite vector whose norm overflows
     is scaled by its largest modulus first.
     """
-    b = basis if isinstance(basis, _ProductBasis) else tuple(basis)
+    b = distinct_labels(basis, "basis")
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if amps.shape[0] != len(b):
         raise ValueError(f"{amps.shape[0]} amplitudes for {len(b)} basis labels")
@@ -225,7 +160,6 @@ def normalize(basis: Sequence[str], amplitudes: Sequence[complex]) -> StateVecto
             amps = amps / top
             norm = float(np.linalg.norm(amps))
     if not DEFAULT_TOL < norm < math.inf:
-        distinct_labels(b, "basis")  # a bad label is reported before a bad vector
         if norm <= DEFAULT_TOL:
             raise ValueError("cannot normalize an all-zero amplitude vector")
         raise ValueError(f"cannot normalize an amplitude vector whose norm is {norm!r}")

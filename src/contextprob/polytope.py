@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, check_tolerance
-from .bell import CorrelationTable, CHSH_FORMS
+from .bell import CorrelationTable, CHSH_FORMS, bell_value_all_forms
 
 #: Largest functional value reachable by tensor-product measurements on a
 #: shared quantum state.
@@ -150,14 +150,12 @@ def _witness(table: CorrelationTable) -> tuple[Witness, float] | None:
     """The most violated facet and its slack, or None if no slack is negative.
 
     A violated CHSH form is reported before any positivity facet, with the
-    value 2 - slack, the float ``bell_value_all_forms`` gives. The
-    positivity slacks are computed only when no CHSH form is violated.
+    float ``bell_value_all_forms`` gives. The positivity slacks are computed
+    only when no CHSH form is violated.
     """
-    chsh = table._chsh_slacks
-    slack = min(chsh)
+    slack = min(table._chsh_slacks)
     if slack < 0.0:
-        signs = CHSH_FORMS[chsh.index(slack)]
-        value = 2.0 - slack
+        value, signs = table._top_form
         terms = " ".join(
             f"{'+' if s > 0 else '-'}E{i // 2}{i % 2}" for i, s in enumerate(signs)
         )
@@ -283,13 +281,11 @@ def classify(table: CorrelationTable) -> str:
 
     "Classical" is decided from the exact CHSH slacks, as in realizable(),
     so the two agree at the facet; singles play no part. Above it, the
-    largest form value, 2 minus the smallest slack (the forms are closed
-    under a global sign flip), splits the bands at 2*sqrt(2), within
-    ``DEFAULT_TOL``.
+    largest form value, ``bell_value_all_forms``, splits the bands at
+    2*sqrt(2), within ``DEFAULT_TOL``.
     """
-    slack = min(table._chsh_slacks)
-    if slack >= 0.0:
+    if min(table._chsh_slacks) >= 0.0:
         return CLASSICAL
-    if 2.0 - slack <= TSIRELSON_BOUND + DEFAULT_TOL:
+    if bell_value_all_forms(table) <= TSIRELSON_BOUND + DEFAULT_TOL:
         return QUANTUM_ACHIEVABLE
     return SUPRA_QUANTUM

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._labels import distinct_labels
+from ._labels import Labels, distinct_labels
 from ._tolerance import DEFAULT_TOL
 
 DEFAULT_ORDER_BUDGET = 1_000_000
@@ -65,8 +65,8 @@ class TermDocMatrix:
 
     def term_index(self, term: str) -> int:
         try:
-            return self.terms.index(term)
-        except ValueError:
+            return self.terms.positions[term]
+        except KeyError:
             raise ValueError(
                 f"unknown term {term!r}; vocabulary has {len(self.terms)} terms"
             ) from None
@@ -110,8 +110,8 @@ class SemanticSpace:
 
     def word_vector(self, term: str) -> np.ndarray:
         try:
-            i = self.terms.index(term)
-        except ValueError:
+            i = self.terms.positions[term]
+        except KeyError:
             raise ValueError(
                 f"unknown term {term!r}; vocabulary has {len(self.terms)} terms"
             ) from None
@@ -258,18 +258,20 @@ def similarity(space: SemanticSpace, term1: str, term2: str) -> float:
     return min(max(cos, -1.0), 1.0)
 
 
-def _vocab_indices(tokens: Sequence[str], vocab: Sequence[str]) -> list[int]:
-    pos = {t: i for i, t in enumerate(distinct_labels(vocab, "vocabulary"))}
+def _vocab_indices(tokens: Sequence[str], vocab: Sequence[str]) -> tuple[Labels, list[int]]:
+    """The checked vocabulary and each token's position in it."""
+    vocab = distinct_labels(vocab, "vocabulary")
+    pos = vocab.positions
     missing = sorted({t for t in tokens if t not in pos})
     if missing:
         raise ValueError(f"tokens not in vocabulary: {missing!r}")
-    return [pos[t] for t in tokens]
+    return vocab, [pos[t] for t in tokens]
 
 
 def bow_vector(tokens: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
     """Order-free representation: per-term counts over the vocabulary."""
-    indices = _vocab_indices(tokens, vocab)
-    vec = np.zeros(len(tuple(vocab)), dtype=np.int64)
+    vocab, indices = _vocab_indices(tokens, vocab)
+    vec = np.zeros(len(vocab), dtype=np.int64)
     for i in indices:
         vec[i] += 1
     return vec
@@ -285,33 +287,30 @@ def order_index(tokens: Sequence[str], vocab: Sequence[str]) -> tuple[int, int]:
     """
     if not tokens:
         raise ValueError("order representation needs at least one token")
-    indices = _vocab_indices(tokens, vocab)
-    size = len(tuple(vocab))
+    vocab, indices = _vocab_indices(tokens, vocab)
+    size = len(vocab)
     flat = 0
     for i in indices:
         flat = flat * size + i
     return size ** len(tokens), flat
 
 
-def order_representation(
-    tokens: Sequence[str],
-    vocab: Sequence[str],
-    max_entries: int = DEFAULT_ORDER_BUDGET,
-) -> np.ndarray:
+def order_representation(tokens: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
     """Positional representation: the tensor product of one-hot word vectors.
 
     The result has |vocab| ** len(tokens) entries with a single 1 whose
     position encodes the exact word sequence, so any two different
     orderings of distinct words land on different positions. The size is
-    exponential by nature; requests beyond ``max_entries`` are refused.
-    ``order_index`` gives the same information at any size.
+    exponential by nature; requests beyond ``DEFAULT_ORDER_BUDGET`` entries
+    are refused. ``order_index`` gives the same information at any size.
     """
+    vocab = distinct_labels(vocab, "vocabulary")  # checked once, also for order_index
     entries, flat = order_index(tokens, vocab)
-    if entries > max_entries:
+    if entries > DEFAULT_ORDER_BUDGET:
         raise ValueError(
             f"order representation would need {entries} entries "
-            f"({len(tuple(vocab))} vocabulary terms ** {len(tokens)} tokens); "
-            f"the budget is {max_entries}"
+            f"({len(vocab)} vocabulary terms ** {len(tokens)} tokens); "
+            f"the budget is {DEFAULT_ORDER_BUDGET}"
         )
     vec = np.zeros(entries)
     vec[flat] = 1.0

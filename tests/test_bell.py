@@ -161,7 +161,14 @@ def test_all_forms_is_within_one_rounding_of_the_exact_maximum(joints):
         abs(sum(s * Fraction(e) for s, e in zip(signs, joints))) for signs in CHSH_FORMS
     )
     value = bell_value_all_forms(table([joints[:2], joints[2:]]))
-    assert abs(Fraction(value) - exact) <= Fraction(1e-15)
+    assert value == float(exact)  # the correctly rounded maximum
+
+
+def test_all_forms_rounds_the_maximum_once():
+    # The exact maximum 3 + 2**-52 + 2**-60 rounds up to the next float
+    # above 3; 2 minus the rounded slack (-1 - 2**-52) would give 3.0.
+    t = table([[1.0, -1.0], [1.0, 2.0**-52 + 2.0**-60]])
+    assert bell_value_all_forms(t) == 3.0000000000000004 == math.nextafter(3.0, 4.0)
 
 
 def test_all_forms_dominates_primary_functional():
@@ -219,6 +226,17 @@ def test_product_equality_degenerate_tolerance_accepts_anything():
 def test_product_equality_checks_its_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance must be a non-negative number"):
         product_equality_check((1, 1, 1, 1), (1, 1, 1, 1), tol=tol)
+
+
+@pytest.mark.parametrize("text", ["0.5", b"0.5", "1"], ids=["str", "bytes", "str-int"])
+def test_text_is_no_expectation(text):
+    message = f"expectation out of range at single \\('r0'\\): {text!r}"
+    with pytest.raises(ValueError, match=message):
+        table([[0, 0], [0, 0]], singles_a=[text, 0.5], singles_b=[0, 0])
+    with pytest.raises(ValueError, match=r"out of range at singles\[0\]"):
+        product_equality_check([text, 1, 1, 1], [1, 1, 1, 1])
+    with pytest.raises(ValueError, match=r"out of range at joints\[3\]"):
+        product_equality_check([1, 1, 1, 1], [1, 1, 1, text])
 
 
 def test_product_equality_validates_ranges():

@@ -356,9 +356,11 @@ def test_kolmo_rejects_a_negative_tolerance(capsys):
 @pytest.mark.parametrize("command", ["bell", "kolmo"])
 @pytest.mark.parametrize("tol", ["-1", "nan"])
 def test_both_tolerance_flags_are_checked_alike(capsys, command, tol):
-    code, out, err = run(capsys, [command, "--odd-event", "0", "--tolerance", tol])
-    assert (code, out) == (1, "")
-    assert err == f"error: tolerance must be a non-negative number, got {float(tol)!r}\n"
+    # With singles (the pet-food table) and without (the Tsirelson pattern).
+    for table in (["--odd-event", "0"], ["--scenario", QUANTUM_PATTERN]):
+        code, out, err = run(capsys, [command, *table, "--tolerance", tol])
+        assert (code, out) == (1, "")
+        assert err == f"error: tolerance must be a non-negative number, got {float(tol)!r}\n"
 
 
 @pytest.mark.parametrize("command", ["bell", "kolmo"])
@@ -403,6 +405,16 @@ def test_deeply_nested_scenario_is_an_error_line(capsys, tmp_path, monkeypatch, 
     (tmp_path / "deep.json").write_text(text)
     code, out, err = run(capsys, [command, "--scenario", "deep.json"])
     assert (code, out, err) == (1, "", "error: deep.json: JSON nested too deeply\n")
+
+
+@pytest.mark.parametrize("command", ["bell", "kolmo"])
+def test_text_singles_in_a_scenario_are_an_error_line(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    scenario = {"joint": [[0, 0], [0, 0]], "singles_a": ["0.5", 0.5], "singles_b": [0, 0]}
+    (tmp_path / "text.json").write_text(json.dumps(scenario))
+    code, out, err = run(capsys, [command, "--scenario", "text.json"])
+    assert (code, out) == (1, "")
+    assert err == "error: text.json: expectation out of range at single ('row-0'): '0.5'\n"
 
 
 @pytest.mark.parametrize(

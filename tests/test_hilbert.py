@@ -140,6 +140,11 @@ def test_normalize_reports_a_bad_label_before_a_non_finite_norm():
         normalize(("x", "x"), [math.inf, 1.0])
 
 
+def test_normalize_reports_a_bad_label_before_a_count_mismatch():
+    with pytest.raises(ValueError, match="duplicate basis label: 'x'"):
+        normalize(("x", "x"), [1.0, 0.0, 0.0])
+
+
 def test_normalize_over_a_million_exemplars():
     n = 10**6
     labels = tuple(f"e{i}" for i in range(n))

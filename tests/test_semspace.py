@@ -519,6 +519,11 @@ def test_order_budget_is_enforced(toy_matrix):
         order_representation(("mary",) * length, vocab)
 
 
+def test_order_budget_message_counts_a_one_pass_vocabulary():
+    with pytest.raises(ValueError, match=r"\(2 vocabulary terms \*\* 30 tokens\)"):
+        order_representation(("a",) * 30, iter(["a", "b"]))
+
+
 def test_order_rejects_unknown_tokens(toy_matrix):
     with pytest.raises(ValueError, match="not in vocabulary"):
         order_representation(("zebra",), toy_matrix.terms)

@@ -1,4 +1,5 @@
-"""Every tolerance in the package is named once, in ``_tolerance.py``."""
+"""Every tolerance in the package is named once, in ``_tolerance.py``; a setting
+with one value is a constant, not a parameter."""
 
 import ast
 import inspect
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import contextprob
-from contextprob import _tolerance, bell, hilbert, polytope
+from contextprob import _tolerance, bell, concepts, hilbert, polytope, semspace
 
 PACKAGE = Path(contextprob.__file__).parent
 
@@ -50,6 +51,20 @@ def test_the_tolerance_module_holds_the_named_values():
 )
 def test_fixed_tolerances_take_no_parameter(fn):
     assert "tol" not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize(
+    "fn, fixed",
+    [
+        (concepts.parse_ratings, "delimiter"),
+        (concepts.load_ratings, "delimiter"),
+        (semspace.order_representation, "max_entries"),
+    ],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_fixed_settings_take_no_parameter(fn, fixed):
+    # Tables are tab-separated; the order budget is DEFAULT_ORDER_BUDGET.
+    assert fixed not in inspect.signature(fn).parameters
 
 
 @pytest.mark.parametrize(
