@@ -10,7 +10,8 @@ package reads their ``positions``.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 # Separator used for tensor-product labels. Joining flat strings keeps
 # three-factor products associative at the label level as well.
@@ -25,9 +26,15 @@ class Labels(tuple):
     """
 
     @cached_property
-    def positions(self) -> dict[str, int]:
-        """Each label's index, built on first use and kept."""
-        return {x: i for i, x in enumerate(self)}
+    def positions(self) -> Mapping[str, int]:
+        """Each label's index, built on first use and kept.
+
+        Read-only, since every object holding these labels reads it.
+        """
+        return MappingProxyType({x: i for i, x in enumerate(self)})
+
+    def __reduce__(self):
+        return Labels, (tuple(self),)  # a copy rebuilds its map on first use
 
 
 class _ProductBasis(Sequence[str]):
@@ -60,7 +67,7 @@ class _ProductBasis(Sequence[str]):
         return self._labels
 
     @property
-    def positions(self) -> dict[str, int]:
+    def positions(self) -> Mapping[str, int]:
         return self._tuple().positions
 
     def __len__(self) -> int:

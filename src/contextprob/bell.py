@@ -38,9 +38,13 @@ CHSH_FORMS: tuple[tuple[int, int, int, int], ...] = tuple(
 
 
 def _check_expectation(value: float, where: str) -> float:
-    """``value`` as a float in [-1, 1]; text is no number, even "0.5"."""
+    """``value`` as a float in [-1, 1].
+
+    A value with a length is no number: neither text, even "0.5", nor an
+    array, as for a joint cell.
+    """
     try:
-        v = math.nan if isinstance(value, (str, bytes)) else float(value)
+        v = math.nan if hasattr(value, "__len__") else float(value)
     except (TypeError, ValueError, OverflowError):
         v = math.nan
     if not -1.0 <= v <= 1.0:
@@ -109,9 +113,6 @@ class CorrelationTable:
         """
         low = min(self._chsh_slacks)
         (e00, e01), (e10, e11) = self.joint
-        if self._chsh_slacks.count(low) == 1:  # one form at the minimum, as usual
-            s0, s1, s2, s3 = s = CHSH_FORMS[self._chsh_slacks.index(low)]
-            return math.fsum((s0 * e00, s1 * e01, s2 * e10, s3 * e11)), s
         return max(
             (math.fsum((s[0] * e00, s[1] * e01, s[2] * e10, s[3] * e11)), s)
             for s, slack in zip(CHSH_FORMS, self._chsh_slacks)

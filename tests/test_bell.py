@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -228,9 +229,13 @@ def test_product_equality_checks_its_tolerance(tol):
         product_equality_check((1, 1, 1, 1), (1, 1, 1, 1), tol=tol)
 
 
-@pytest.mark.parametrize("text", ["0.5", b"0.5", "1"], ids=["str", "bytes", "str-int"])
+@pytest.mark.parametrize(
+    "text",
+    ["0.5", b"0.5", "1", bytearray(b"0.5"), memoryview(b"0.5"), np.array(0.5)],
+    ids=["str", "bytes", "str-int", "bytearray", "memoryview", "0-d-array"],
+)
 def test_text_is_no_expectation(text):
-    message = f"expectation out of range at single \\('r0'\\): {text!r}"
+    message = re.escape(f"expectation out of range at single ('r0'): {text!r}")
     with pytest.raises(ValueError, match=message):
         table([[0, 0], [0, 0]], singles_a=[text, 0.5], singles_b=[0, 0])
     with pytest.raises(ValueError, match=r"out of range at singles\[0\]"):

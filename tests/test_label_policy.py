@@ -165,6 +165,15 @@ def test_unchecked_input_is_checked_into_labels():
         distinct_labels(("a", "b", "a"), "exemplar")
 
 
+def test_positions_are_read_only():
+    labels = distinct_labels(("b", "a"), "exemplar")
+    state = tensor(normalize(labels, [1.0, 0.0]), normalize(("x",), [1.0]))
+    for positions in (labels.positions, state.basis.positions):
+        with pytest.raises(TypeError):
+            positions["b"] = 5
+    assert labels.positions == {"b": 0, "a": 1}
+
+
 def test_a_colliding_product_is_checked_in_full():
     left = distinct_labels(("a", "a⊗b"), "basis")
     right = distinct_labels(("b⊗c", "c"), "basis")
@@ -179,7 +188,7 @@ def test_a_colliding_product_is_checked_in_full():
 )
 def test_a_copy_keeps_labels_and_lookups(clone):
     table = RatingTable(("cat", "dog"), ("home", "farm"), [[1.0, 2.0], [3.0, 4.0]])
-    table.exemplars.positions  # a cached map travels with the copy
+    table.exemplars.positions  # copied after its map is built
     twin = clone(table)
     assert type(twin.exemplars) is Labels and twin.exemplars == table.exemplars
     assert twin.rating("dog", "farm") == 4.0 and twin.context_index("farm") == 1
