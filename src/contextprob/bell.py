@@ -16,25 +16,45 @@ value is then one exact sum for each form tied at the smallest slack.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 import reprlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from ._labels import distinct_labels
 from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, check_tolerance
+
+if TYPE_CHECKING:  # numpy is imported by the sweep alone
+    import numpy as np
 
 #: All eight sign placements: one minus among the four terms, up to a
 #: global flip, i.e. every sign tuple with an odd number of -1 entries.
 CHSH_FORMS: tuple[tuple[int, int, int, int], ...] = tuple(
     s for s in itertools.product((1, -1), repeat=4) if s.count(-1) % 2 == 1
 )
+
+
+class _computed_once:
+    """A value computed on first read and then kept on the instance.
+
+    ``functools.cached_property`` without the lock it takes on every first
+    read before Python 3.12. As a non-data descriptor it is shadowed by the
+    stored value, so later reads are plain attribute reads.
+    """
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _check_expectation(value: float, where: str) -> float:
@@ -89,7 +109,7 @@ class CorrelationTable:
         """The four joints in row-major order."""
         return (*self.joint[0], *self.joint[1])
 
-    @functools.cached_property
+    @_computed_once
     def _chsh_slacks(self) -> tuple[float, ...]:
         """2 - s.E for each form s of ``CHSH_FORMS``, computed once per table.
 
@@ -102,7 +122,7 @@ class CorrelationTable:
             for s0, s1, s2, s3 in CHSH_FORMS
         )
 
-    @functools.cached_property
+    @_computed_once
     def _top_form(self) -> tuple[float, tuple[int, int, int, int]]:
         """The largest s.E over ``CHSH_FORMS``, correctly rounded, and its s.
 
@@ -270,6 +290,8 @@ def sweep_mixing(grid: Sequence[float]) -> list[SweepPoint]:
     operations, in the same order, as ``bell_value(pet_food_table(...))``
     on one point, so every value is bit-identical to that route.
     """
+    import numpy as np
+
     probs = _mixing_grid(grid)
     values = np.abs((2.0 * probs - 1.0) - 1.0) + abs(1.0 + 1.0)
     return [
@@ -280,6 +302,8 @@ def sweep_mixing(grid: Sequence[float]) -> list[SweepPoint]:
 
 def _mixing_grid(grid: Sequence[float]) -> np.ndarray:
     """The grid as a float array, every point checked as a mixing probability."""
+    import numpy as np
+
     try:
         probs = np.asarray(grid, dtype=float)
         if probs.ndim == 1 and np.all((probs >= 0.0) & (probs <= 1.0)):

@@ -5,6 +5,9 @@ one report: a JSON record by default, or tab-separated plot data for the
 tabular commands. Reports are deterministic for identical inputs and flags
 except for the separate timing field; errors go to stderr and flip the
 exit code to 1.
+
+A run imports only the modules its subcommand needs: each handler imports
+them itself, so ``bell`` and ``kolmo`` never load numpy.
 """
 
 from __future__ import annotations
@@ -17,11 +20,15 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, bell, concepts, entangle, polytope, semspace
+from . import __version__
 from ._tolerance import DEFAULT_TOL, GRID_SLACK, RESIDUAL_TOL, WEIGHT_CUTOFF, check_tolerance
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import bell, concepts
 
 SCHEMA_VERSION = 1
 
@@ -75,12 +82,16 @@ def _table_record(table: bell.CorrelationTable) -> dict:
 def _load_table(args) -> tuple[bell.CorrelationTable, list[str]]:
     if (args.scenario is None) == (args.odd_event is None):
         raise ValueError("give exactly one of --scenario and --odd-event")
+    from . import bell
+
     if args.scenario is not None:
         return bell.load_scenario(args.scenario), [args.scenario]
     return bell.pet_food_table(bell.PetFoodScenario(args.odd_event)), []
 
 
 def _cmd_ratings(args):
+    from . import concepts
+
     table = concepts.load_ratings(args.table)
     context = _resolve_context(table, args.context)
     dist = concepts.context_distribution(table, context)
@@ -100,6 +111,8 @@ def _cmd_ratings(args):
 
 
 def _cmd_bell(args):
+    from . import bell, polytope
+
     table, inputs = _load_table(args)
     tol = check_tolerance(args.tolerance)  # checked with or without singles
     value = bell.bell_value(table)
@@ -140,6 +153,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"grid stop {stop} is below start {start}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
+    import numpy as np
+
     # The last point may overshoot stop by the slack, so the slack counts too.
     bound = stop + GRID_SLACK
     span = (bound - start) / step
@@ -152,6 +167,8 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _cmd_sweep(args):
+    from . import bell
+
     points = bell.sweep_mixing(_parse_grid(args.grid))
     if args.format == "tsv":
         tsv = ["odd_event_probability\tbell_value\tviolated"]
@@ -175,6 +192,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_guppy(args):
+    from . import concepts, entangle
+
     table_a = concepts.load_ratings(args.concept_a)
     table_b = concepts.load_ratings(args.concept_b)
     ctx_a = _pick_context(table_a, args.context_a, "--context-a")
@@ -199,6 +218,8 @@ def _cmd_guppy(args):
 
 
 def _cmd_semspace(args):
+    from . import semspace
+
     lowercase = not args.no_lowercase
     corpus = semspace.load_corpus(args.corpus, lowercase=lowercase)
     matrix = semspace.build_matrix(corpus)
@@ -224,6 +245,8 @@ def _cmd_semspace(args):
         tok2 = s2.lower().split() if lowercase else s2.split()
         comparison = {"sentence_1": s1, "sentence_2": s2}
         if args.mode in ("bow", "both"):
+            import numpy as np
+
             same = np.array_equal(
                 semspace.bow_vector(tok1, matrix.terms),
                 semspace.bow_vector(tok2, matrix.terms),
@@ -241,6 +264,8 @@ def _cmd_semspace(args):
 
 
 def _cmd_kolmo(args):
+    from . import bell, polytope
+
     table, inputs = _load_table(args)
     result = polytope.realizable(table, tol=args.tolerance)
     weights = None

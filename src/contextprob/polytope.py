@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, check_tolerance
 from .bell import CorrelationTable, CHSH_FORMS, bell_value_all_forms
@@ -63,10 +62,15 @@ _STRATEGIES: tuple[DeterministicStrategy, ...] = tuple(
     for a0, a1, b0, b1 in itertools.product((1, -1), repeat=4)
 )
 
-# One column per strategy: its four joint products, then its four outcomes.
-_MOMENT_MATRIX = np.array(
-    [(*s.joint_products(), *s.outcome_vector()) for s in _STRATEGIES], dtype=float
-).T
+# Per moment (the four joint products, then the four outcomes), getters of
+# the weights of the strategies where it is +1 and of those where it is -1.
+_MOMENT_SIGNS = tuple(
+    tuple(
+        operator.itemgetter(*(k for k, v in enumerate(moment) if v == sign))
+        for sign in (1, -1)
+    )
+    for moment in zip(*((*s.joint_products(), *s.outcome_vector()) for s in _STRATEGIES))
+)
 
 
 def enumerate_strategies() -> tuple[DeterministicStrategy, ...]:
@@ -123,8 +127,13 @@ def realizable(table: CorrelationTable, tol: float = RESIDUAL_TOL) -> Realizabil
     singles_a = table.singles_a or (0.0, 0.0)
     singles_b = table.singles_b or (0.0, 0.0)
     weights = _fine_weights(joints, singles_a, singles_b)
-    errors = _MOMENT_MATRIX @ weights - (*joints, *singles_a, *singles_b)
-    residual = float(np.max(np.abs(errors if table.has_singles else errors[:4])))
+    # Moments without a target (the singles of a joints-only table) are
+    # left out, as zip stops at the last target.
+    targets = (*joints, *singles_a, *singles_b) if table.has_singles else joints
+    residual = max(
+        abs(math.fsum(plus(weights)) - math.fsum(minus(weights)) - target)
+        for (plus, minus), target in zip(_MOMENT_SIGNS, targets)
+    )
     if residual > tol:
         raise ValueError(
             f"mixture weights reproduce the table only to {residual!r}, "

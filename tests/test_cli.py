@@ -552,6 +552,20 @@ def test_scipy_stays_out_of_the_runtime():
     library = imported_modules("-c", "import contextprob")
     assert "contextprob" in library
     assert "scipy" not in library
-    command = imported_modules("-m", "contextprob", "bell", "--odd-event", "0")
+    command = imported_modules("-m", "contextprob", "ratings", PET_RATINGS, "--context", "bone")
     assert "numpy" in command
     assert "scipy" not in command
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("-c", "import contextprob"),
+        ("-m", "contextprob", "bell", "--odd-event", "0"),
+        ("-m", "contextprob", "kolmo", "--scenario", QUANTUM_PATTERN),
+    ],
+)
+def test_the_2x2_commands_run_without_numpy(args):
+    modules = imported_modules(*args)
+    assert "contextprob" in modules
+    assert "numpy" not in modules

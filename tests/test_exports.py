@@ -1,0 +1,62 @@
+"""The package namespace: every export resolves, lazily, to its submodule's object."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import contextprob
+
+SUBMODULES = ("_tolerance", "hilbert", "concepts", "entangle", "bell", "polytope", "semspace", "fixtures")
+
+
+def test_every_export_is_its_submodules_object():
+    modules = [importlib.import_module(f"contextprob.{m}") for m in SUBMODULES]
+    for name in contextprob.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(contextprob, name)
+        owners = [m for m in modules if name in vars(m)]
+        assert owners, name
+        assert all(vars(m)[name] is value for m in owners), name
+
+
+def test_all_names_each_export_once():
+    assert contextprob.__all__[0] == "__version__"
+    assert len(set(contextprob.__all__)) == len(contextprob.__all__) == 67
+
+
+def test_dir_lists_every_export():
+    assert set(contextprob.__all__) <= set(dir(contextprob))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from contextprob import *", namespace)
+    for name in contextprob.__all__:
+        assert namespace[name] is getattr(contextprob, name)
+
+
+def test_an_unknown_name_is_an_attribute_error_naming_the_module():
+    with pytest.raises(AttributeError, match="module 'contextprob' has no attribute 'nonesuch'"):
+        contextprob.nonesuch
+
+
+def fresh(code):
+    """stdout of ``code`` run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_submodule():
+    code = "import sys, contextprob; print(sorted(m for m in sys.modules if m.startswith('contextprob.')))"
+    assert fresh(code) == "[]\n"
+
+
+def test_a_submodule_loads_on_first_use():
+    code = "import contextprob; print(repr(contextprob.hilbert.TENSOR_SEP))"
+    from contextprob.hilbert import TENSOR_SEP
+
+    assert fresh(code) == repr(TENSOR_SEP) + "\n"

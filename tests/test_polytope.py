@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from contextprob import polytope
 from contextprob._tolerance import DEFAULT_TOL
 from contextprob.bell import CorrelationTable, bell_value_all_forms
 from contextprob.cli import main
@@ -273,6 +274,37 @@ def test_tolerance_bounds_the_weight_residual():
     for bad in (-1e-9, math.nan):
         with pytest.raises(ValueError, match="tolerance"):
             realizable(t, tol=bad)
+
+
+def moment_matrix_residual(t, weights):
+    """Sup-norm residual of ``weights`` by one float product with the moment
+    matrix: the reference for the grouped ``math.fsum`` of ``realizable``."""
+    strategies = enumerate_strategies()
+    m = np.array([(*s.joint_products(), *s.outcome_vector()) for s in strategies]).T
+    singles = (*t.singles_a, *t.singles_b) if t.has_singles else (0.0,) * 4
+    errors = m @ np.asarray(weights) - (*t.joints_flat(), *singles)
+    return float(np.max(np.abs(errors if t.has_singles else errors[:4])))
+
+
+@pytest.mark.parametrize("with_singles", (True, False))
+@pytest.mark.parametrize("skew", (0.0, 1e-6))
+def test_residual_matches_the_moment_matrix_product(monkeypatch, with_singles, skew):
+    # A skew added to the closed-form weights gives every moment an error
+    # far above rounding, so the comparison sees each moment and its sign.
+    rng = np.random.default_rng(17)
+    fine_weights = polytope._fine_weights
+    monkeypatch.setattr(
+        polytope,
+        "_fine_weights",
+        lambda *args: [w + skew * d for w, d in zip(fine_weights(*args), rng.standard_normal(16))],
+    )
+    for _ in range(600):
+        joints, singles = reconstruct(rng.dirichlet(np.full(16, 0.5)))
+        kw = {"singles_a": singles[:2], "singles_b": singles[2:]} if with_singles else {}
+        t = table(joints.reshape(2, 2), **kw)
+        result = realizable(t, tol=1.0)
+        assert result.feasible and result.witness is None
+        assert abs(result.max_residual - moment_matrix_residual(t, result.weights)) <= 1e-15
 
 
 # ------------------------------------------------------------ facet boundary
