@@ -8,6 +8,8 @@ fixed. Exact decisions (the CHSH and positivity facets) take no tolerance
 at all.
 """
 
+import math
+
 #: Rounding slack of a float sum of a few terms near 1 or 2: unit norms,
 #: probability ranges and sums, zero-mass and zero-norm cut-offs, and the
 #: classical (2) and Tsirelson (2*sqrt(2)) ceilings of float functional values.
@@ -27,7 +29,9 @@ WEIGHT_CUTOFF = 1e-15
 
 
 def check_tolerance(tol: float) -> float:
-    """``tol`` as a float; a ValueError unless it is a non-negative number."""
+    """``tol`` as a float; a ValueError unless it is a finite non-negative number."""
     if not tol >= 0.0:
         raise ValueError(f"tolerance must be a non-negative number, got {tol!r}")
+    if tol == math.inf:
+        raise ValueError(f"tolerance must be finite, got {tol!r}")
     return float(tol)

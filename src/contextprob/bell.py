@@ -159,6 +159,8 @@ def _joint_grid(joint, rows, cols) -> tuple[tuple[float, float], tuple[float, fl
 
 
 def _context_pair(labels, kind: str) -> tuple[str, str]:
+    if isinstance(labels, str):  # a string is no list of labels
+        raise ValueError(f"{kind}_contexts must be a list of two labels, got {labels!r}")
     pair = tuple(labels)
     if len(pair) != 2:
         raise ValueError(f"need exactly two {kind} context labels, got {labels!r}")
@@ -346,7 +348,10 @@ def load_scenario(path: str | Path) -> CorrelationTable:
         )
     try:
         if has_p:
-            return pet_food_table(PetFoodScenario(data["odd_event_probability"]))
+            p = data["odd_event_probability"]
+            if type(p) not in (int, float):  # JSON true and "0.5" are no numbers
+                raise ValueError(f"odd_event_probability must be a number, got {p!r}")
+            return pet_food_table(PetFoodScenario(p))
         return CorrelationTable(
             data.get("row_contexts", ("row-0", "row-1")),
             data.get("col_contexts", ("col-0", "col-1")),

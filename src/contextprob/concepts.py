@@ -112,7 +112,18 @@ class ContextDistribution:
         if not given:
             raise ValueError("distribution needs at least one exemplar")
         labels = distinct_labels(given, "exemplar")
-        p = np.fromiter(given.values(), dtype=float, count=len(labels))
+        self._set(labels, np.fromiter(given.values(), dtype=float, count=len(labels)))
+
+    @classmethod
+    def _from_arrays(cls, context: str, labels: Labels, p: np.ndarray) -> ContextDistribution:
+        """A distribution from a context label, checked labels and a fresh
+        float array of their probabilities, which is clamped in place."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "context", context)
+        dist._set(labels, p)
+        return dist
+
+    def _set(self, labels: Labels, p: np.ndarray) -> None:
         # NaN fails both comparisons, so it is reported as out of range.
         bad = np.flatnonzero(~((p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)))
         if bad.size:
@@ -206,17 +217,15 @@ def context_distribution(table: RatingTable, context: str) -> ContextDistributio
         # column keeps its proportions and sums to at most its length.
         col /= col.max()
         total = col.sum()
-    probs = col / total
-    return ContextDistribution(
-        context, dict(zip(table.exemplars, probs.tolist()))
-    )
+    return ContextDistribution._from_arrays(context, table.exemplars, col / total)
 
 
 def context_state(table: RatingTable, context: str) -> StateVector:
     """The concept's state under a context: amplitudes are square roots
     of the choice probabilities, in exemplar order."""
     dist = context_distribution(table, context)
-    amps = np.sqrt(np.array([dist.probabilities[x] for x in table.exemplars]))
+    probs = dist.probabilities
+    amps = np.sqrt(np.fromiter(probs.values(), dtype=float, count=len(probs)))
     return StateVector(table.exemplars, amps)
 
 

@@ -160,6 +160,11 @@ class EntangledState:
             object.__setattr__(self, name, value)
 
     @property
+    def dim(self) -> int:
+        """The number of pairs, in the support or not: len(basis_a) * len(basis_b)."""
+        return len(self.basis_a) * len(self.basis_b)
+
+    @property
     def support(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.amplitudes)
 
@@ -182,7 +187,7 @@ class _PairAmplitudes(Mapping):
     def __init__(self, basis_a, basis_b, rows, cols, amps) -> None:
         self._basis_a, self._basis_b = basis_a, basis_b
         self._rows, self._cols, self._amps = rows, cols, amps
-        self._slots: dict[tuple[str, str], int] | None = None
+        self._slots: dict[int, complex] | None = None
 
     def __len__(self) -> int:
         return len(self._amps)
@@ -192,9 +197,15 @@ class _PairAmplitudes(Mapping):
         return ((a[i], b[j]) for i, j in zip(self._rows.tolist(), self._cols.tolist()))
 
     def __getitem__(self, pair: tuple[str, str]) -> complex:
-        if self._slots is None:
-            self._slots = {p: k for k, p in enumerate(self)}
-        return complex(self._amps[self._slots[pair]])
+        n_b = len(self._basis_b)
+        if self._slots is None:  # keyed by row * n_b + col, built on first use
+            keys = (self._rows * n_b + self._cols).tolist()
+            self._slots = dict(zip(keys, self._amps.tolist()))
+        try:
+            x, y = pair if isinstance(pair, tuple) else ()
+            return self._slots[self._basis_a.positions[x] * n_b + self._basis_b.positions[y]]
+        except (KeyError, TypeError, ValueError):  # unknown, unhashable, or no pair
+            raise KeyError(pair) from None
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -267,7 +278,7 @@ def marginal(state: EntangledState, side: str) -> ContextDistribution:
     """One side's exemplar distribution, summing the joint over the other."""
     basis, idx = _side(state, side)
     probs = np.bincount(idx, weights=state._probs, minlength=len(basis))
-    return ContextDistribution(f"marginal of side {side}", dict(zip(basis, probs.tolist())))
+    return ContextDistribution._from_arrays(f"marginal of side {side}", basis, probs)
 
 
 def conditional_collapse(state: EntangledState, side: str, exemplar: str) -> EntangledState:

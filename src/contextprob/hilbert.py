@@ -1,11 +1,11 @@
 """Finite-dimensional complex state spaces over labeled bases.
 
 A state is a unit-norm vector of complex amplitudes indexed by an ordered
-sequence of checked string labels (``_labels.Labels``, a tuple that knows
-each label's position), or for a tensor product a lazy sequence of pair
-labels. Observables are diagonal in that basis with
-eigenvalues +1/-1, and projectors are diagonal 0/1 matrices identified by
-the set of labels they keep. Everything here is immutable and every
+tuple of checked string labels (``_labels.Labels``, a tuple that knows each
+label's position). Observables are diagonal in that basis with eigenvalues
++1/-1, and projectors are diagonal 0/1 matrices identified by the set of
+labels they keep. The product of two states is a joint state over pairs,
+``entangle.EntangledState``. Everything here is immutable and every
 operation is a pure function.
 """
 
@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ._labels import TENSOR_SEP, _ProductBasis, distinct_labels  # noqa: F401
+from ._labels import distinct_labels
 from ._tolerance import DEFAULT_TOL
+
+if TYPE_CHECKING:
+    from .entangle import EntangledState
+
 
 def _same_basis(a, b, op: str) -> None:
     if a.basis != b.basis:
@@ -29,9 +33,10 @@ def _same_basis(a, b, op: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Unit-norm complex amplitudes over an ordered label basis."""
+    """Unit-norm complex amplitudes over an ordered label basis: one concept's
+    state. A joint state of two concepts is an ``entangle.EntangledState``."""
 
-    basis: Sequence[str]
+    basis: tuple[str, ...]
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
@@ -172,19 +177,28 @@ def inner(u: StateVector, v: StateVector) -> complex:
     return complex(np.vdot(u.amplitudes, v.amplitudes))
 
 
-def tensor(u: StateVector, v: StateVector) -> StateVector:
-    """Joint state over pair labels, amplitude = product of amplitudes.
+def tensor(u: StateVector, v: StateVector) -> EntangledState:
+    """The product state of two states: a joint state over (u, v) label pairs.
 
-    The pair label of (a, b) is ``a + TENSOR_SEP + b``, left factor first,
-    so the result is sensitive to argument order. The basis is a lazy
-    sequence of the pair labels: it is equal to, and hashes like, their
-    tuple (it is not a ``tuple`` instance), and it builds the labels only
-    when one is read. A product therefore costs one ``np.outer`` and a norm.
+    The amplitude of (x, y) is ``u.amplitude(x) * v.amplitude(y)``,
+    renormalized, and the support is ordered left label major, so the result
+    is sensitive to argument order. Pairs whose product is zero are left out
+    of the support, as in every ``EntangledState``; ``dim`` still counts them.
     """
-    amps = np.outer(u.amplitudes, v.amplitudes).reshape(-1)
+    from .entangle import EntangledState  # entangle imports this module
+
+    amps = np.outer(u.amplitudes, v.amplitudes)
     # Each factor is unit norm only within tolerance, so the product can
     # drift past the constructor gate; renormalize the (near-unit) result.
-    return normalize(_ProductBasis(u.basis, v.basis), amps)
+    amps /= np.linalg.norm(amps)
+    rows, cols = np.flatnonzero(u.amplitudes), np.flatnonzero(v.amplitudes)
+    if len(rows) < u.dim or len(cols) < v.dim:
+        amps = amps[rows][:, cols]
+    rows, cols, amps = np.repeat(rows, len(cols)), np.tile(cols, len(rows)), amps.reshape(-1)
+    if not amps.all():  # a product that underflowed to zero
+        kept = amps != 0
+        rows, cols, amps = rows[kept], cols[kept], amps[kept]
+    return EntangledState._from_arrays(u.basis, v.basis, rows, cols, amps)
 
 
 def born_prob(proj: Projector, state: StateVector) -> float:

@@ -417,6 +417,33 @@ def test_text_singles_in_a_scenario_are_an_error_line(capsys, tmp_path, monkeypa
     assert err == "error: text.json: expectation out of range at single ('row-0'): '0.5'\n"
 
 
+def test_a_string_of_row_contexts_is_an_error_line(capsys, tmp_path, monkeypatch):
+    # A string is a sequence too: "ab" must not become the labels 'a' and 'b'.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps({"row_contexts": "ab", "joint": [[1, 1], [1, 1]]}))
+    code, out, err = run(capsys, ["bell", "--scenario", "s.json"])
+    assert (code, out) == (1, "")
+    assert err == "error: s.json: row_contexts must be a list of two labels, got 'ab'\n"
+
+
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["true", "text"])
+def test_an_odd_event_probability_that_is_no_number_is_an_error_line(
+    capsys, tmp_path, monkeypatch, value
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.json").write_text(json.dumps({"odd_event_probability": value}))
+    code, out, err = run(capsys, ["bell", "--scenario", "p.json"])
+    assert (code, out) == (1, "")
+    assert err == f"error: p.json: odd_event_probability must be a number, got {value!r}\n"
+
+
+@pytest.mark.parametrize("command", ["bell", "kolmo"])
+def test_an_infinite_tolerance_is_an_error_line(capsys, command):
+    code, out, err = run(capsys, [command, "--odd-event", "0", "--tolerance", "1e400"])
+    assert (code, out) == (1, "")
+    assert err == "error: tolerance must be finite, got inf\n"
+
+
 @pytest.mark.parametrize(
     "name, argv",
     [

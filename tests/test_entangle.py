@@ -523,3 +523,19 @@ def test_amplitude_view_holds_the_support_in_relation_order():
     built = EntangledState(("p", "q"), ("r",), {("q", "r"): 0.0, ("p", "r"): -1.0})
     assert len(built.amplitudes) == 1
     assert list(built.amplitudes.items()) == [(("p", "r"), -1.0 + 0j)]
+
+
+def test_a_pair_lookup_off_the_support_is_a_key_error():
+    pa = dist("a", x=0.5, y=0.0, z=0.5)
+    pb = dist("b", u=0.25, v=0.75)
+    state = combine(pa, pb, full_relation(pa.exemplars, pb.exemplars))
+    assert state.amplitudes["z", "v"] == pytest.approx(math.sqrt(0.375))
+    # An unknown label, a pair outside the support, and keys that are no pairs.
+    unknown, off_support = [("w", "u"), ("x", "w")], [("y", "u"), ("u", "x")]
+    no_pairs = ["xu", ("x",), ("x", "u", "v"), ["x", "u"], (["x"], "u")]
+    for key in unknown + off_support + no_pairs:
+        with pytest.raises(KeyError):
+            state.amplitudes[key]
+        assert key not in state.amplitudes
+        assert state.amplitudes.get(key) is None
+    assert state.amplitude("w", "u") == state.amplitude("y", "u") == 0j

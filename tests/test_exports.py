@@ -56,7 +56,7 @@ def test_import_loads_no_submodule():
 
 
 def test_a_submodule_loads_on_first_use():
-    code = "import contextprob; print(repr(contextprob.hilbert.TENSOR_SEP))"
-    from contextprob.hilbert import TENSOR_SEP
+    code = "import contextprob; print(repr(contextprob.semspace.GRAM_RELATIVE_FLOOR))"
+    from contextprob.semspace import GRAM_RELATIVE_FLOOR
 
-    assert fresh(code) == repr(TENSOR_SEP) + "\n"
+    assert fresh(code) == repr(GRAM_RELATIVE_FLOOR) + "\n"

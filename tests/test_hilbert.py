@@ -1,6 +1,4 @@
-import itertools
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -20,9 +18,10 @@ from contextprob.hilbert import (
     normalize,
     sign_projectors,
     tensor,
-    TENSOR_SEP,
 )
-from conftest import PET_RATING_ROWS, pet_column
+from contextprob.concepts import RatingTable, context_distribution, context_state
+from contextprob.entangle import EntangledState, combine, full_relation, marginal
+from conftest import CONTEXT_BONE, CONTEXT_WEIRD, PET_RATING_ROWS, pet_column
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -179,26 +178,39 @@ def test_observable_signs_must_cover_basis():
 # --------------------------------------------------------------------- tensor
 
 
+def dense(state):
+    """A joint state's amplitudes as an (n_a, n_b) array, zeros included."""
+    out = np.zeros((len(state.basis_a), len(state.basis_b)), dtype=complex)
+    for (x, y), amp in state.amplitudes.items():
+        out[state.basis_a.positions[x], state.basis_b.positions[y]] = amp
+    return out
+
+
 def test_tensor_of_basis_states_is_a_pair_basis_state():
     u = basis_state(AB, "alpha")
     v = basis_state(("one", "two"), "two")
     w = tensor(u, v)
-    assert w.amplitude("alpha⊗two") == pytest.approx(1.0)
-    assert born_prob(identity_projector(w.basis), w) == pytest.approx(1.0)
+    assert type(w) is EntangledState and w.dim == 4
+    assert w.amplitude("alpha", "two") == pytest.approx(1.0)
+    assert w.support == {("alpha", "two")}
 
 
 def test_tensor_is_order_sensitive():
     u = basis_state(AB, "alpha")
     v = basis_state(("one", "two"), "two")
-    assert tensor(u, v).basis != tensor(v, u).basis
+    uv, vu = tensor(u, v), tensor(v, u)
+    assert (uv.basis_a, uv.basis_b) == (AB, ("one", "two"))
+    assert uv.basis_a is u.basis and uv.basis_b is v.basis
+    assert (vu.basis_a, vu.basis_b) == (("one", "two"), AB)
+    assert uv.support == {("alpha", "two")} and vu.support == {("two", "alpha")}
 
 
 def test_tensor_amplitudes_are_products():
     u = normalize(AB, [0.6, 0.8])
     v = normalize(("one", "two"), [1.0, 2.0])
     w = tensor(u, v)
-    expected = np.outer(u.amplitudes, v.amplitudes).reshape(-1)
-    assert np.allclose(w.amplitudes, expected, atol=1e-12)
+    assert np.allclose(dense(w), np.outer(u.amplitudes, v.amplitudes), atol=1e-12)
+    assert list(w.amplitudes) == [(a, b) for a in AB for b in ("one", "two")]
 
 
 def test_tensor_scaling_is_bilinear_before_normalization():
@@ -207,20 +219,10 @@ def test_tensor_scaling_is_bilinear_before_normalization():
     assert np.array_equal(np.outer(0.5 * a, b), 0.5 * np.outer(a, b))
 
 
-def test_tensor_associativity_of_amplitudes():
-    u = normalize(AB, [1.0, 2.0])
-    v = normalize(("one", "two"), [3.0, 1.0])
-    w = normalize(("x", "y"), [1.0, 1.0])
-    left = tensor(tensor(u, v), w)
-    right = tensor(u, tensor(v, w))
-    assert left.basis == right.basis
-    assert np.allclose(left.amplitudes, right.amplitudes, atol=1e-12)
-
-
 def labelled_tensor(u, v):
-    """The product over explicitly joined pair labels: the definition the
-    lazy product basis stands in for."""
-    labels = tuple(a + TENSOR_SEP + b for a in u.basis for b in v.basis)
+    """The product as one state over explicitly joined pair labels: the
+    definition the joint state of ``tensor`` stands in for."""
+    labels = tuple(f"{a}⊗{b}" for a in u.basis for b in v.basis)
     return normalize(labels, np.outer(u.amplitudes, v.amplitudes).reshape(-1))
 
 
@@ -234,62 +236,59 @@ def test_tensor_matches_the_labelled_product_bit_for_bit():
     cases = [
         (normalize(AB, [0.6, 0.8]), normalize(("one", "two"), [1.0, 2.0])),
         (random_state("a", 300, 1), random_state("b", 300, 2)),
-        (random_state("x", 7, 3), tensor(random_state("y", 3, 4), random_state("z", 5, 5))),
+        (random_state("x", 7, 3), random_state("yz", 15, 4)),
     ]
     for u, v in cases:
         got, want = tensor(u, v), labelled_tensor(u, v)
-        assert got.basis == want.basis
-        assert np.array_equal(got.amplitudes, want.amplitudes)
+        assert got.dim == want.dim and len(got.amplitudes) == got.dim
+        assert np.array_equal(dense(got), want.amplitudes.reshape(u.dim, v.dim))
 
 
-def test_tensor_still_refuses_pair_labels_that_collide():
-    u = StateVector(("a", "a⊗b"), [1.0, 0.0])
-    v = StateVector(("b⊗c", "c"), [1.0, 0.0])
-    with pytest.raises(ValueError, match=re.escape("duplicate basis label: 'a⊗b⊗c'")):
-        tensor(u, v)
-    # A separator on one side only cannot make two pair labels equal.
-    uv = tensor(u, basis_state(("b", "c"), "b"))
-    assert uv.dim == 4
-    # Every label of a product basis holds the separator.
-    with pytest.raises(ValueError, match=re.escape("duplicate basis label: 'a⊗b⊗b⊗c'")):
-        tensor(uv, StateVector(("c", "b⊗c"), [1.0, 0.0]))
+def test_tensor_agrees_with_combine_over_the_full_relation(pet_table):
+    zeros = RatingTable(("a", "b", "c"), ("s", "t"), [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
+    for table, (c1, c2) in ((pet_table, (CONTEXT_BONE, CONTEXT_WEIRD)), (zeros, ("s", "t"))):
+        product = tensor(context_state(table, c1), context_state(table, c2))
+        d1, d2 = context_distribution(table, c1), context_distribution(table, c2)
+        combined = combine(d1, d2, full_relation(d1.exemplars, d2.exemplars))
+        assert product.support == combined.support
+        assert np.max(np.abs(dense(product) - dense(combined))) <= 1e-15
 
 
-def test_product_basis_equals_and_hashes_like_its_tuple():
-    u = normalize(AB, [0.6, 0.8])
-    v = normalize(("one", "two", "three"), [1.0, 2.0, 2.0])
-    basis = tensor(u, v).basis
-    labels = ("alpha⊗one", "alpha⊗two", "alpha⊗three", "beta⊗one", "beta⊗two", "beta⊗three")
-    assert basis == labels and labels == basis
-    assert not basis != labels
-    assert hash(basis) == hash(labels)
-    assert {labels: "found"}[basis] == "found"
-    assert basis == tensor(u, v).basis and hash(basis) == hash(tensor(u, v).basis)
-    assert basis != tensor(v, u).basis
-    assert basis != list(labels) and basis != labels[:-1]
-    # Different factors can still join to the same labels.
-    ab_c = tensor(StateVector(("a⊗b",), [1.0]), StateVector(("c",), [1.0])).basis
-    a_bc = tensor(StateVector(("a",), [1.0]), StateVector(("b⊗c",), [1.0])).basis
-    assert ab_c == a_bc == ("a⊗b⊗c",) and hash(ab_c) == hash(a_bc)
-    assert not isinstance(basis, tuple)
-    assert len(basis) == 6 and list(basis) == list(labels)
-    assert basis[4] == "beta⊗two" and basis[-1] == "beta⊗three"
-    assert basis[1:3] == labels[1:3]
-    assert "alpha" in repr(basis) and "three" in repr(basis)
+@pytest.mark.parametrize("seed", range(5))
+def test_each_marginal_of_a_product_is_its_factor(seed):
+    u, v = random_state("a", 9, 2 * seed), random_state("b", 4, 2 * seed + 1)
+    w = tensor(u, v)
+    for side, factor in (("A", u), ("B", v)):
+        born = [born_prob(Projector(factor.basis, frozenset({x})), factor) for x in factor.basis]
+        got = list(marginal(w, side).probabilities.values())
+        assert np.allclose(got, born, atol=1e-15, rtol=0)
+
+
+def test_a_zero_amplitude_leaves_the_support_but_not_the_dimension():
+    u = normalize(("a", "b", "c"), [1.0, 0.0, 1.0])
+    v = normalize(("x", "y"), [0.0, 1.0])
+    w = tensor(u, v)
+    assert w.dim == 6
+    assert list(w.amplitudes) == [("a", "y"), ("c", "y")]
+    assert w.amplitude("b", "y") == 0j and w.amplitude("a", "x") == 0j
+    assert w.amplitude("c", "y") == pytest.approx(INV_SQRT2)
+    # A product can also underflow to zero where neither factor is zero.
+    tiny = StateVector(("p", "q"), [1.0, 1e-200])
+    w = tensor(tiny, tiny)
+    assert w.dim == 4 and w.support == {("p", "p"), ("p", "q"), ("q", "p")}
 
 
 def test_product_basis_lookups_at_300_by_300():
     u, v = random_state("a", 300, 6), random_state("b", 300, 7)
     w = tensor(u, v)
     assert w.dim == 90_000
+    want = labelled_tensor(u, v).amplitudes
     for i, j in ((0, 0), (150, 150), (299, 299)):
-        label = f"a{i}{TENSOR_SEP}b{j}"
-        k = 300 * i + j
-        assert w.basis[k] == label
-        assert w.index(label) == k
-        assert w.amplitude(label) == w.amplitudes[k]
-    with pytest.raises(ValueError, match="unknown basis label 'a0⊗a0'"):
-        w.index("a0⊗a0")
+        assert w.amplitude(f"a{i}", f"b{j}") == want[300 * i + j]
+        assert w.amplitudes[f"a{i}", f"b{j}"] == want[300 * i + j]
+    assert w.amplitude("a0", "a0") == 0j
+    with pytest.raises(KeyError):
+        w.amplitudes["a0", "a0"]
 
 
 def tensor_peak_bytes(u, v):
@@ -305,31 +304,6 @@ def test_tensor_at_300_by_300_builds_no_pair_labels():
     u, v = random_state("a", 300, 8), random_state("b", 300, 9)
     # The amplitudes are 1.4 MB; 90,000 label strings would add ~10 MB more.
     assert tensor_peak_bytes(u, v) < 6_000_000
-    # Nor are the labels of a product factor built.
-    assert tensor_peak_bytes(tensor(u, v), basis_state(("c",), "c")) < 6_000_000
-
-
-def test_a_chain_of_five_products_groups_either_way():
-    factors = [random_state(f"f{k}.", 8, 20 + k) for k in range(5)]
-    left = factors[0]
-    for f in factors[1:]:
-        left = tensor(left, f)
-    right = factors[-1]
-    for f in reversed(factors[:-1]):
-        right = tensor(f, right)
-    assert left.dim == right.dim == 8**5
-    assert left.basis == right.basis
-    assert np.allclose(left.amplitudes, right.amplitudes, atol=1e-12, rtol=0)
-    rng = np.random.default_rng(25)
-    for k in (0, 8**5 - 1, *rng.integers(0, 8**5, size=8)):
-        digits = np.unravel_index(k, (8,) * 5)
-        label = TENSOR_SEP.join(f.basis[d] for f, d in zip(factors, digits))
-        assert left.basis[k] == right.basis[k] == label
-        assert left.index(label) == right.index(label) == k
-        assert left.amplitude(label) == pytest.approx(right.amplitude(label), abs=1e-12)
-    assert list(left.basis) == [
-        TENSOR_SEP.join(p) for p in itertools.product(*(f.basis for f in factors))
-    ]
 
 
 # ------------------------------------------------------------------ born_prob

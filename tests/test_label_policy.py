@@ -4,14 +4,13 @@ and every label lookup reads the ``positions`` of the checked labels."""
 import ast
 import copy
 import pickle
-import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import contextprob
-from contextprob._labels import Labels, _ProductBasis, distinct_labels
+from contextprob._labels import Labels, distinct_labels
 from contextprob.bell import load_scenario
 from contextprob.concepts import RatingTable, context_distribution, context_state
 from contextprob.entangle import combine, full_relation
@@ -118,7 +117,8 @@ def labelled_fields():
         ("RatingTable.contexts", table.contexts),
         ("ContextDistribution.exemplars", dist.exemplars),
         ("StateVector.basis", state.basis),
-        ("tensor basis", product.basis),
+        # A product's side A basis is its left factor's, StateVector.basis above.
+        ("tensor basis", product.basis_b),
         ("Observable.basis", obs.basis),
         ("Projector.basis", sign_projectors(obs)[0].basis),
         ("EntangledState.basis_a", joint.basis_a),
@@ -168,19 +168,10 @@ def test_unchecked_input_is_checked_into_labels():
 def test_positions_are_read_only():
     labels = distinct_labels(("b", "a"), "exemplar")
     state = tensor(normalize(labels, [1.0, 0.0]), normalize(("x",), [1.0]))
-    for positions in (labels.positions, state.basis.positions):
+    for positions in (labels.positions, state.basis_a.positions, state.basis_b.positions):
         with pytest.raises(TypeError):
             positions["b"] = 5
     assert labels.positions == {"b": 0, "a": 1}
-
-
-def test_a_colliding_product_is_checked_in_full():
-    left = distinct_labels(("a", "a⊗b"), "basis")
-    right = distinct_labels(("b⊗c", "c"), "basis")
-    with pytest.raises(ValueError, match=re.escape("duplicate basis label: 'a⊗b⊗c'")):
-        _ProductBasis(left, right)
-    basis = _ProductBasis(left, distinct_labels(("c",), "basis"))
-    assert basis.positions == {"a⊗c": 0, "a⊗b⊗c": 1}
 
 
 @pytest.mark.parametrize(
@@ -197,6 +188,7 @@ def test_a_copy_keeps_labels_and_lookups(clone):
 
     state = tensor(normalize(("a", "b"), [3.0, 4.0]), normalize(("x", "y"), [1.0, 0.0]))
     twin = clone(state)
-    assert twin.basis == state.basis and twin.dim == 4
-    assert twin.amplitude("b⊗x") == state.amplitude("b⊗x") == pytest.approx(0.8)
-    assert twin.index("a⊗y") == 1
+    assert type(twin.basis_a) is type(twin.basis_b) is Labels
+    assert (twin.basis_a, twin.basis_b) == (state.basis_a, state.basis_b) and twin.dim == 4
+    assert twin.amplitude("b", "x") == state.amplitude("b", "x") == pytest.approx(0.8)
+    assert twin.basis_b.positions["y"] == 1 and ("a", "y") not in twin.amplitudes
