@@ -57,17 +57,26 @@ class _computed_once:
         return value
 
 
-def _check_expectation(value: float, where: str) -> float:
-    """``value`` as a float in [-1, 1].
+def _as_number(value) -> float | None:
+    """``value`` as a float, or None when it is no number.
 
-    A value with a length is no number: neither text, even "0.5", nor an
-    array, as for a joint cell.
+    A bool is no number, nor is a value with a length: neither text, even
+    "0.5", nor an array, as for a joint cell.
     """
+    if isinstance(value, bool) or hasattr(value, "__len__"):
+        return None
     try:
-        v = math.nan if hasattr(value, "__len__") else float(value)
-    except (TypeError, ValueError, OverflowError):
-        v = math.nan
-    if not -1.0 <= v <= 1.0:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+    except OverflowError:  # an int past the float range
+        return math.inf
+
+
+def _check_expectation(value: float, where: str) -> float:
+    """``value`` as a float in [-1, 1]."""
+    v = _as_number(value)
+    if v is None or not -1.0 <= v <= 1.0:
         raise ValueError(f"expectation out of range at {where}: {value!r}")
     return v
 
@@ -250,7 +259,9 @@ class PetFoodScenario:
     odd_event_probability: float
 
     def __post_init__(self) -> None:
-        p = float(self.odd_event_probability)
+        p = _as_number(value := self.odd_event_probability)
+        if p is None:
+            raise ValueError(f"odd_event_probability must be a number, got {value!r}")
         if not math.isfinite(p) or not (0.0 <= p <= 1.0):
             raise ValueError(f"mixing probability must lie in [0, 1], got {p!r}")
         object.__setattr__(self, "odd_event_probability", p)
@@ -307,9 +318,9 @@ def _mixing_grid(grid: Sequence[float]) -> np.ndarray:
     import numpy as np
 
     try:
-        probs = np.asarray(grid, dtype=float)
-        if probs.ndim == 1 and np.all((probs >= 0.0) & (probs <= 1.0)):
-            return probs
+        probs = np.asarray(grid)  # text makes a text array, not floats
+        if probs.dtype.kind == "f" and probs.ndim == 1 and np.all((probs >= 0) & (probs <= 1)):
+            return probs.astype(float, copy=False)
     except (TypeError, ValueError):
         pass
     # Some point is bad or not a number: check one at a time to name the first.
@@ -348,10 +359,7 @@ def load_scenario(path: str | Path) -> CorrelationTable:
         )
     try:
         if has_p:
-            p = data["odd_event_probability"]
-            if type(p) not in (int, float):  # JSON true and "0.5" are no numbers
-                raise ValueError(f"odd_event_probability must be a number, got {p!r}")
-            return pet_food_table(PetFoodScenario(p))
+            return pet_food_table(PetFoodScenario(data["odd_event_probability"]))
         return CorrelationTable(
             data.get("row_contexts", ("row-0", "row-1")),
             data.get("col_contexts", ("col-0", "col-1")),

@@ -187,18 +187,14 @@ def tensor(u: StateVector, v: StateVector) -> EntangledState:
     """
     from .entangle import EntangledState  # entangle imports this module
 
-    amps = np.outer(u.amplitudes, v.amplitudes)
+    amps = np.outer(u.amplitudes, v.amplitudes).reshape(-1)
     # Each factor is unit norm only within tolerance, so the product can
     # drift past the constructor gate; renormalize the (near-unit) result.
     amps /= np.linalg.norm(amps)
-    rows, cols = np.flatnonzero(u.amplitudes), np.flatnonzero(v.amplitudes)
-    if len(rows) < u.dim or len(cols) < v.dim:
-        amps = amps[rows][:, cols]
-    rows, cols, amps = np.repeat(rows, len(cols)), np.tile(cols, len(rows)), amps.reshape(-1)
-    if not amps.all():  # a product that underflowed to zero
-        kept = amps != 0
-        rows, cols, amps = rows[kept], cols[kept], amps[kept]
-    return EntangledState._from_arrays(u.basis, v.basis, rows, cols, amps)
+    kept = amps != 0  # a zero factor entry, or a product that underflowed
+    rows = np.repeat(np.arange(u.dim), v.dim)[kept]
+    cols = np.tile(np.arange(v.dim), u.dim)[kept]
+    return EntangledState._from_arrays(u.basis, v.basis, rows, cols, amps[kept])
 
 
 def born_prob(proj: Projector, state: StateVector) -> float:

@@ -231,8 +231,8 @@ def test_product_equality_checks_its_tolerance(tol):
 
 @pytest.mark.parametrize(
     "text",
-    ["0.5", b"0.5", "1", bytearray(b"0.5"), memoryview(b"0.5"), np.array(0.5)],
-    ids=["str", "bytes", "str-int", "bytearray", "memoryview", "0-d-array"],
+    ["0.5", b"0.5", "1", bytearray(b"0.5"), memoryview(b"0.5"), np.array(0.5), True],
+    ids=["str", "bytes", "str-int", "bytearray", "memoryview", "0-d-array", "bool"],
 )
 def test_text_is_no_expectation(text):
     message = re.escape(f"expectation out of range at single ('r0'): {text!r}")
@@ -289,6 +289,14 @@ def test_pet_food_scenario_rejects_out_of_range():
             PetFoodScenario(bad)
 
 
+@pytest.mark.parametrize(
+    "value", [True, "0.5", np.array(0.5), None], ids=["bool", "text", "0-d-array", "none"]
+)
+def test_a_mixing_probability_must_be_a_number(value):
+    with pytest.raises(ValueError, match=re.escape(f"must be a number, got {value!r}")):
+        PetFoodScenario(value)
+
+
 # ---------------------------------------------------------------- sweep_mixing
 
 
@@ -331,7 +339,7 @@ def test_sweep_names_the_first_bad_point():
     grid = [0.25] * 500 + [math.nan, 2.0]
     with pytest.raises(ValueError, match=r"^grid point 500: .*got nan$"):
         sweep_mixing(grid)
-    with pytest.raises(ValueError, match=r"^grid point 2: could not convert"):
+    with pytest.raises(ValueError, match=r"^grid point 1: .*must be a number, got '0.5'$"):
         sweep_mixing([0.0, "0.5", "half"])
 
 

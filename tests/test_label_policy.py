@@ -21,9 +21,9 @@ from contextprob.semspace import build_matrix, parse_corpus, svd_truncate
 PACKAGE = Path(contextprob.__file__).parent
 SCENARIO = fixture_path("tsirelson_pattern.json")
 
-#: Field annotations that hold labels: a label tuple or sequence, or a
-#: mapping keyed by label.
-LABEL_FIELDS = ("tuple[str, ...]", "Sequence[str]", "Mapping[str, ")
+#: Field annotations that hold labels: a label tuple, or a mapping keyed
+#: by label.
+LABEL_FIELDS = ("tuple[str, ...]", "Mapping[str, ")
 
 
 def labelled_classes(path):
