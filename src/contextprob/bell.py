@@ -12,6 +12,8 @@ a table is classically explainable exactly when every form stays at or
 below 2. A table computes the exact slack 2 - s.E of each form once, and
 every answer about its forms reads those eight floats; the largest form
 value is then one exact sum for each form tied at the smallest slack.
+
+The module is pure Python, the mixing sweep included, and never loads numpy.
 """
 
 from __future__ import annotations
@@ -22,13 +24,10 @@ import math
 import reprlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ._labels import distinct_labels
 from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, check_tolerance
-
-if TYPE_CHECKING:  # numpy is imported by the sweep alone
-    import numpy as np
 
 #: All eight sign placements: one minus among the four terms, up to a
 #: global flip, i.e. every sign tuple with an odd number of -1 entries.
@@ -259,12 +258,18 @@ class PetFoodScenario:
     odd_event_probability: float
 
     def __post_init__(self) -> None:
-        p = _as_number(value := self.odd_event_probability)
-        if p is None:
-            raise ValueError(f"odd_event_probability must be a number, got {value!r}")
-        if not math.isfinite(p) or not (0.0 <= p <= 1.0):
-            raise ValueError(f"mixing probability must lie in [0, 1], got {p!r}")
+        p = _mixing_probability(self.odd_event_probability)
         object.__setattr__(self, "odd_event_probability", p)
+
+
+def _mixing_probability(value) -> float:
+    """``value`` as a float in [0, 1]: the rule for every mixing probability."""
+    p = _as_number(value)
+    if p is None:
+        raise ValueError(f"odd_event_probability must be a number, got {value!r}")
+    if not 0.0 <= p <= 1.0:  # refuses nan too
+        raise ValueError(f"mixing probability must lie in [0, 1], got {p!r}")
+    return p
 
 
 _PET_FOOD_ROWS = ("pet one is eating", "one of the pets is eating")
@@ -299,38 +304,20 @@ class SweepPoint:
 def sweep_mixing(grid: Sequence[float]) -> list[SweepPoint]:
     """Evaluate the pet-food functional over a grid of mixing probabilities.
 
-    The whole grid is checked and evaluated as arrays, with the same float
-    operations, in the same order, as ``bell_value(pet_food_table(...))``
-    on one point, so every value is bit-identical to that route.
+    Each point is checked as ``PetFoodScenario`` checks its probability, and
+    evaluated with the same float operations, in the same order, as
+    ``bell_value(pet_food_table(...))``, so every value is bit-identical to
+    that route. The first bad point is named by its index.
     """
-    import numpy as np
-
-    probs = _mixing_grid(grid)
-    values = np.abs((2.0 * probs - 1.0) - 1.0) + abs(1.0 + 1.0)
-    return [
-        SweepPoint(p, v, is_violated(v))
-        for p, v in zip(probs.tolist(), values.tolist())
-    ]
-
-
-def _mixing_grid(grid: Sequence[float]) -> np.ndarray:
-    """The grid as a float array, every point checked as a mixing probability."""
-    import numpy as np
-
-    try:
-        probs = np.asarray(grid)  # text makes a text array, not floats
-        if probs.dtype.kind == "f" and probs.ndim == 1 and np.all((probs >= 0) & (probs <= 1)):
-            return probs.astype(float, copy=False)
-    except (TypeError, ValueError):
-        pass
-    # Some point is bad or not a number: check one at a time to name the first.
-    checked = []
-    for i, p in enumerate(grid):
+    points = []
+    for i, value in enumerate(grid):
         try:
-            checked.append(PetFoodScenario(p).odd_event_probability)
+            p = _mixing_probability(value)
         except ValueError as exc:
             raise ValueError(f"grid point {i}: {exc}") from None
-    return np.array(checked, dtype=float)
+        v = abs((2.0 * p - 1.0) - 1.0) + abs(1.0 + 1.0)
+        points.append(SweepPoint(p, v, is_violated(v)))
+    return points
 
 
 def load_scenario(path: str | Path) -> CorrelationTable:

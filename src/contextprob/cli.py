@@ -1,19 +1,19 @@
 """Batch command-line front end.
 
 Subcommands: ratings, bell, sweep, guppy, semspace, kolmo. Every run emits
-one report: a JSON record by default, or tab-separated plot data for the
-tabular commands. Reports are deterministic for identical inputs and flags
-except for the separate timing field; errors go to stderr and flip the
-exit code to 1.
+one report: a JSON record by default, or, for ``ratings`` and ``sweep``,
+tab-separated plot data under ``--format tsv``. Reports are deterministic
+for identical inputs and flags except for the separate timing field; errors
+go to stderr and flip the exit code to 1.
 
 A run imports only the modules its subcommand needs: each handler imports
-them itself, so ``bell`` and ``kolmo`` never load numpy.
+them itself, so ``bell``, ``kolmo`` and ``sweep`` never load numpy, and
+``hashlib`` loads only when a run has input files to digest.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -26,8 +26,6 @@ from . import __version__
 from ._tolerance import DEFAULT_TOL, GRID_SLACK, RESIDUAL_TOL, WEIGHT_CUTOFF, check_tolerance
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from . import bell, concepts
 
 SCHEMA_VERSION = 1
@@ -37,6 +35,8 @@ MAX_GRID_POINTS = 1_000_000
 
 
 def _digest(path: str | Path) -> str:
+    import hashlib
+
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -137,7 +137,7 @@ def _cmd_bell(args):
     return results, inputs, None
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
@@ -153,8 +153,6 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"grid stop {stop} is below start {start}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
-    import numpy as np
-
     # The last point may overshoot stop by the slack, so the slack counts too.
     bound = stop + GRID_SLACK
     span = (bound - start) / step
@@ -162,8 +160,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     # start + k * step for k = 0, 1, ... while within the slack, clipped at 1;
     # the values rise with k, so those within are a prefix.
-    values = start + np.arange(int(span) + 2) * step
-    return np.minimum(values[values <= bound], 1.0)
+    n = int(span) + 2
+    while start + (n - 1) * step > bound:
+        n -= 1
+    return [v if (v := start + k * step) < 1.0 else 1.0 for k in range(n)]
 
 
 def _cmd_sweep(args):
@@ -324,16 +324,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_: str, handler):
         sp = sub.add_parser(name, help=help_, description=help_)
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=handler, format="record")
+        return sp
+
+    def add_format(sp: argparse.ArgumentParser) -> None:
         sp.add_argument(
             "--format",
             choices=("record", "tsv"),
-            default="record",
             help="output format: JSON record (default) or tab-separated plot data",
         )
-        return sp
 
     sp = add("ratings", "rank exemplars of a rating table under one context", _cmd_ratings)
+    add_format(sp)
     sp.add_argument("table", help="rating table file (tab-separated)")
     sp.add_argument(
         "--context",
@@ -351,6 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sp = add("sweep", "sweep the pet-food mixing probability", _cmd_sweep)
+    add_format(sp)
     sp.epilog = (
         "A point's 'violated' compares its rounded functional value with "
         f"2 + {DEFAULT_TOL:g}, so within {DEFAULT_TOL:g} of the ceiling it can "
@@ -415,8 +418,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(raw)
     start = time.perf_counter()
     try:
-        # Tabular handlers build only the output --format asks for and
-        # return None for the other; the rest always return tsv=None.
+        # The handlers with --format build only the output it asks for and
+        # return None for the other.
         results, inputs, tsv = args.handler(args)
         digests = {str(p): _digest(p) for p in inputs}
     except (ValueError, OSError) as exc:
@@ -425,12 +428,6 @@ def main(argv: list[str] | None = None) -> int:
     elapsed = time.perf_counter() - start
 
     if args.format == "tsv":
-        if tsv is None:
-            print(
-                f"error: tab-separated output is not available for '{args.command}'",
-                file=sys.stderr,
-            )
-            return 1
         lines = [
             f"# contextprob schema={SCHEMA_VERSION} version={__version__}",
             f"# command: {args.command} " + " ".join(raw[1:]),

@@ -343,6 +343,13 @@ def test_sweep_names_the_first_bad_point():
         sweep_mixing([0.0, "0.5", "half"])
 
 
+@pytest.mark.parametrize("bad", [True, np.array(0.5)], ids=["bool", "0-d array"])
+def test_sweep_refuses_a_bool_or_a_0d_array_inside_a_grid(bad):
+    # Each is refused by PetFoodScenario; a grid point takes the same rule.
+    with pytest.raises(ValueError, match=r"^grid point 1: .*must be a number"):
+        sweep_mixing([0.0, bad])
+
+
 def test_sweep_is_affine_with_slope_minus_two():
     rng = np.random.default_rng(29)
     grid = sorted(rng.uniform(0, 1, size=40))

@@ -4,9 +4,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from contextprob import bell
+from contextprob import bell, cli
+from contextprob._tolerance import GRID_SLACK
 from contextprob.cli import main
 from contextprob.fixtures import fixture_path
 
@@ -138,9 +141,17 @@ def test_bell_rejects_out_of_range_probability(capsys):
 
 
 def test_bell_has_no_tsv_format(capsys):
-    code, _, err = run(capsys, ["bell", "--odd-event", "0", "--format", "tsv"])
-    assert code == 1
-    assert "not available" in err
+    # --format exists only where a TSV does: ratings and sweep.
+    for argv in (
+        ["bell", "--odd-event", "0"],
+        ["kolmo", "--odd-event", "0"],
+        guppy_argv(),
+        ["semspace", "--corpus", TOY_CORPUS],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "tsv"])
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: --format tsv" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -228,6 +239,33 @@ def test_sweep_grid_cap_counts_the_slack_past_stop(capsys):
         code, _, err = run(capsys, ["sweep", "--grid", bad])
         assert code == 1, bad
         assert err.startswith("error:") and "more than 1000000 points" in err, bad
+
+
+def numpy_grid(text):
+    """The grid of ``text`` as numpy built it: an independent oracle."""
+    start, stop, step = (float(x) for x in text.split(":"))
+    bound = stop + GRID_SLACK
+    values = start + np.arange(int((bound - start) / step) + 2) * step
+    return np.minimum(values[values <= bound], 1.0).tolist()
+
+
+@st.composite
+def grid_texts(draw):
+    start, stop = sorted((draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))))
+    points = draw(st.integers(1, 5_000))
+    step = (stop - start + GRID_SLACK) / points * draw(st.floats(0.5, 2.0))
+    return f"{start!r}:{stop!r}:{step!r}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_texts())
+@example("0:1:1.000001e-6")  # just under the cap of 10**6 points
+@example("0:1:0.001")
+@example("0.5:0.5:1e-12")
+def test_grid_matches_the_numpy_formula_bit_for_bit(text):
+    grid = cli._parse_grid(text)
+    assert type(grid) is list
+    assert [v.hex() for v in grid] == [v.hex() for v in numpy_grid(text)]
 
 
 # ---------------------------------------------------------------------- guppy
@@ -590,9 +628,22 @@ def test_scipy_stays_out_of_the_runtime():
         ("-c", "import contextprob"),
         ("-m", "contextprob", "bell", "--odd-event", "0"),
         ("-m", "contextprob", "kolmo", "--scenario", QUANTUM_PATTERN),
+        ("-m", "contextprob", "sweep", "--grid", "0:1:0.001"),
     ],
 )
-def test_the_2x2_commands_run_without_numpy(args):
+def test_bell_kolmo_and_sweep_run_without_numpy(args):
     modules = imported_modules(*args)
     assert "contextprob" in modules
     assert "numpy" not in modules
+
+
+@pytest.mark.parametrize(
+    "args, digests",
+    [
+        (("-m", "contextprob", "bell", "--odd-event", "0"), False),
+        (("-m", "contextprob", "sweep", "--grid", "0:1:0.001"), False),
+        (("-m", "contextprob", "kolmo", "--scenario", QUANTUM_PATTERN), True),
+    ],
+)
+def test_hashlib_loads_only_to_digest_input_files(args, digests):
+    assert ("hashlib" in imported_modules(*args)) is digests
