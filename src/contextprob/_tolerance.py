@@ -5,7 +5,8 @@ Only ``RESIDUAL_TOL`` can be overridden, by ``realizable(tol)``,
 ``product_equality_check(tol)`` and the CLI's two ``--tolerance`` flags,
 which all check the value through ``check_tolerance``; the others are
 fixed. Exact decisions (the CHSH and positivity facets) take no tolerance
-at all.
+at all. ``as_number`` is the one rule for what counts as a number, for a
+tolerance and wherever else a number is given as a value.
 """
 
 import math
@@ -28,10 +29,28 @@ GRID_SLACK = 1e-9
 WEIGHT_CUTOFF = 1e-15
 
 
+def as_number(value) -> float | None:
+    """``value`` as a float, or None when it is no number: the package's one
+    rule for a number given as a value.
+
+    A bool is no number, nor is a value with a length: neither text, even
+    "0.5", nor an array, as for a joint cell.
+    """
+    if isinstance(value, bool) or hasattr(value, "__len__"):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+    except OverflowError:  # an int past the float range
+        return math.inf
+
+
 def check_tolerance(tol: float) -> float:
     """``tol`` as a float; a ValueError unless it is a finite non-negative number."""
-    if not tol >= 0.0:
+    value = as_number(tol)
+    if value is None or not value >= 0.0:
         raise ValueError(f"tolerance must be a non-negative number, got {tol!r}")
-    if tol == math.inf:
-        raise ValueError(f"tolerance must be finite, got {tol!r}")
-    return float(tol)
+    if value == math.inf:
+        raise ValueError(f"tolerance must be finite, got {value!r}")
+    return value

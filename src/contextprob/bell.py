@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._labels import distinct_labels
-from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, check_tolerance
+from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, as_number, check_tolerance
 
 #: All eight sign placements: one minus among the four terms, up to a
 #: global flip, i.e. every sign tuple with an odd number of -1 entries.
@@ -56,28 +56,19 @@ class _computed_once:
         return value
 
 
-def _as_number(value) -> float | None:
-    """``value`` as a float, or None when it is no number.
+def _expectations(values, where) -> tuple[float, ...]:
+    """``values`` as floats in [-1, 1].
 
-    A bool is no number, nor is a value with a length: neither text, even
-    "0.5", nor an array, as for a joint cell.
+    The first value that is not fails, at ``where(k)``, k its index; the
+    location text is built only then.
     """
-    if isinstance(value, bool) or hasattr(value, "__len__"):
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return None
-    except OverflowError:  # an int past the float range
-        return math.inf
-
-
-def _check_expectation(value: float, where: str) -> float:
-    """``value`` as a float in [-1, 1]."""
-    v = _as_number(value)
-    if v is None or not -1.0 <= v <= 1.0:
-        raise ValueError(f"expectation out of range at {where}: {value!r}")
-    return v
+    checked = []
+    for value in values:
+        v = as_number(value)
+        if v is None or not -1.0 <= v <= 1.0:
+            raise ValueError(f"expectation out of range at {where(len(checked))}: {value!r}")
+        checked.append(v)
+    return tuple(checked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,12 +113,20 @@ class CorrelationTable:
         """2 - s.E for each form s of ``CHSH_FORMS``, computed once per table.
 
         Each slack is a ``math.fsum`` of five floats, so it is correctly
-        rounded and its sign is exact.
+        rounded and its sign is exact. The signs are written out, one line
+        per form in the order of ``CHSH_FORMS``.
         """
         (e00, e01), (e10, e11) = self.joint
-        return tuple(
-            math.fsum((2.0, -s0 * e00, -s1 * e01, -s2 * e10, -s3 * e11))
-            for s0, s1, s2, s3 in CHSH_FORMS
+        fsum = math.fsum
+        return (
+            fsum((2.0, -e00, -e01, -e10, e11)),
+            fsum((2.0, -e00, -e01, e10, -e11)),
+            fsum((2.0, -e00, e01, -e10, -e11)),
+            fsum((2.0, -e00, e01, e10, e11)),
+            fsum((2.0, e00, -e01, -e10, -e11)),
+            fsum((2.0, e00, -e01, e10, e11)),
+            fsum((2.0, e00, e01, -e10, e11)),
+            fsum((2.0, e00, e01, e10, -e11)),
         )
 
     @_computed_once
@@ -160,10 +159,10 @@ def _joint_grid(joint, rows, cols) -> tuple[tuple[float, float], tuple[float, fl
         e00 = e01 = e10 = e11 = ()  # has a length: reported as the shape below
     if any(hasattr(v, "__len__") for v in (e00, e01, e10, e11)):
         raise ValueError(f"joint expectations must be 2x2, got {reprlib.repr(joint)}")
-    return tuple(
-        tuple(_check_expectation(v, f"({r!r}, {c!r})") for c, v in zip(cols, pair))
-        for r, pair in zip(rows, ((e00, e01), (e10, e11)))
+    e00, e01, e10, e11 = _expectations(
+        (e00, e01, e10, e11), lambda k: f"({rows[k // 2]!r}, {cols[k % 2]!r})"
     )
+    return (e00, e01), (e10, e11)
 
 
 def _context_pair(labels, kind: str) -> tuple[str, str]:
@@ -183,7 +182,7 @@ def _singles(values, contexts) -> tuple[float, float] | None:
     vals = tuple(values)
     if len(vals) != 2:
         raise ValueError(f"need exactly two single-side expectations, got {values!r}")
-    return tuple(_check_expectation(v, f"single ({c!r})") for c, v in zip(contexts, vals))
+    return _expectations(vals, lambda k: f"single ({contexts[k]!r})")
 
 
 def bell_value(table: CorrelationTable) -> float:
@@ -204,8 +203,11 @@ def bell_value_all_forms(table: CorrelationTable) -> float:
 
 def is_violated(value: float) -> bool:
     """Whether a functional value exceeds the classical ceiling of 2
-    by more than ``DEFAULT_TOL``."""
-    return float(value) > 2.0 + DEFAULT_TOL
+    by more than ``DEFAULT_TOL``; a ValueError when it is no number."""
+    v = as_number(value)
+    if v is None:
+        raise ValueError(f"functional value must be a number, got {value!r}")
+    return v > 2.0 + DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -230,8 +232,8 @@ def product_equality_check(
     possible.
     """
     tol = check_tolerance(tol)
-    s = tuple(_check_expectation(v, f"singles[{i}]") for i, v in enumerate(singles))
-    j = tuple(_check_expectation(v, f"joints[{i}]") for i, v in enumerate(joints))
+    s = _expectations(singles, lambda k: f"singles[{k}]")
+    j = _expectations(joints, lambda k: f"joints[{k}]")
     if len(s) != 4 or len(j) != 4:
         raise ValueError("need four singles and four joints")
     cells = tuple(
@@ -264,7 +266,7 @@ class PetFoodScenario:
 
 def _mixing_probability(value) -> float:
     """``value`` as a float in [0, 1]: the rule for every mixing probability."""
-    p = _as_number(value)
+    p = as_number(value)
     if p is None:
         raise ValueError(f"odd_event_probability must be a number, got {value!r}")
     if not 0.0 <= p <= 1.0:  # refuses nan too

@@ -6,15 +6,18 @@ settings and two outcomes per side that polytope is known facet by facet:
 joints alone are classical exactly when the eight CHSH forms stay at or
 below 2 (Fine 1982, PRL 48 291); with singles, the 16 outcome-probability
 positivity facets join them (Froissart 1981; Collins & Gisin 2004). Every
-facet slack is a sum of at most five floats times +1/-1, so ``math.fsum``
-returns it correctly rounded and its sign, hence the decision, is exact.
-The eight CHSH slacks are the table's own, computed once by
-``CorrelationTable``; ``classify``, ``primary_violated`` and ``realizable``
-all read them. The positivity slacks are computed here, for ``realizable``.
+facet slack is a ``math.fsum`` of at most five table entries or their
+negations, signs written out, so it is correctly rounded and its sign,
+hence the decision, is exact. The eight CHSH slacks are the table's own,
+computed once by ``CorrelationTable``; ``classify``, ``primary_violated``
+and ``realizable`` all read them. The positivity slacks are computed here,
+for ``realizable``.
 
 Mixture weights for a classical table come in closed form from Fine's
-chordal construction; the test suite holds the decision against an
-independent linear program over the strategy weights.
+chordal construction, as straight-line float code. The test suite keeps
+the generic construction over sign tables and holds the weights, the
+residual, the witness and the band to it bit for bit, and holds the
+decision against an independent linear program over the strategy weights.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ def realizable(table: CorrelationTable, tol: float = RESIDUAL_TOL) -> Realizabil
     sup-norm residual of the returned weights; a ValueError reports a
     feasible table whose weights miss it by more.
     """
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     found = _witness(table)
     if found is not None:
         witness, slack = found
@@ -147,12 +150,20 @@ _OUTCOMES = tuple(itertools.product(range(2), range(2), (1, -1), (1, -1)))
 
 
 def _positivity_slacks(table: CorrelationTable) -> list[float]:
-    """Each outcome probability implied by the singles and one joint."""
+    """Each outcome probability implied by the singles and one joint, in the
+    order of ``_OUTCOMES``, with the signs written out."""
     a, b, joints = table.singles_a, table.singles_b, table.joints_flat()
-    return [
-        math.fsum((1.0, sa * a[i], sb * b[j], sa * sb * joints[2 * i + j])) / 4.0
-        for i, j, sa, sb in _OUTCOMES
-    ]
+    fsum = math.fsum
+    slacks = []
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        ai, bj, e = a[i], b[j], joints[2 * i + j]
+        slacks += (
+            fsum((1.0, ai, bj, e)) / 4.0,
+            fsum((1.0, ai, -bj, -e)) / 4.0,
+            fsum((1.0, -ai, bj, -e)) / 4.0,
+            fsum((1.0, -ai, -bj, e)) / 4.0,
+        )
+    return slacks
 
 
 def _witness(table: CorrelationTable) -> tuple[Witness, float] | None:
@@ -193,67 +204,72 @@ def _witness(table: CorrelationTable) -> tuple[Witness, float] | None:
     return None
 
 
-#: Outcomes (a0, a1, b) of the triangle (A0, A1, Bk).
-_ATOMS = tuple(itertools.product((1, -1), repeat=3))
-_CHORD = tuple(a0 * a1 for a0, a1, _ in _ATOMS)
-_TRIPLE = tuple(a0 * a1 * b for a0, a1, b in _ATOMS)
-#: Per value of b, the two atoms with a0 = a1, and the two with a0 != a1.
-_SAME = tuple(
-    tuple(i for i, (a0, a1, bi) in enumerate(_ATOMS) if a0 == a1 and bi == b)
-    for b in (1, -1)
-)
-_CROSS = tuple(
-    tuple(i for i, (a0, a1, bi) in enumerate(_ATOMS) if a0 != a1 and bi == b)
-    for b in (1, -1)
-)
-
-
 def _fine_weights(joints, singles_a, singles_b) -> list[float]:
     """Weights over the strategies of a classical table, in closed form.
 
     The chord x = E[A0 A1] splits the cycle A0-B0-A1-B1 into the triangles
-    (A0, A1, Bk), k = 0, 1, whose outcome probabilities are
+    (A0, A1, Bk), k = 0, 1. Their atoms (a0, a1, b) run +++, ++-, +-+, +--,
+    -++, -+-, --+, --- and have the outcome probabilities
 
         8 p_k(a0, a1, b) = c_k(a0, a1, b) + a0 a1 x + a0 a1 b t_k
 
-    with c_k fixed by the table and t_k = E[A0 A1 Bk]. Eliminating t_k
-    bounds x by pairwise sums of c_k: from below by atoms with a0 = a1, from
-    above by atoms with a0 != a1. x sits at the middle of both triangles'
-    common interval, then each t_k at the middle of its own. Fine's theorem
-    makes both intervals non-empty for a classical table. Gluing
-    p_0 p_1 / p(a0, a1) makes B0 and B1 independent given A0, A1 and matches
-    both triangles. Joints-only tables take zero singles, which flipping
-    every outcome of any mixture shows to be realizable too.
+    with c_k = 1 + a0 A0 + a1 A1 + b (Bk + a0 E0k + a1 E1k) fixed by the
+    table and t_k = E[A0 A1 Bk]. Eliminating t_k bounds x from below by the
+    atoms with a0 = a1, x >= -(min(c(+++), c(--+)) + min(c(++-), c(---))) / 2,
+    and from above by those with a0 != a1, x <= (min(c(+-+), c(-++)) +
+    min(c(+--), c(-+-))) / 2; x sits at the middle of both triangles' common
+    interval. With g = c + a0 a1 x, t_k sits at the middle of its own: at
+    least -min g over +++, +--, -+-, --+ (where a0 a1 b = +1), at most min g
+    over ++-, +-+, -++, --- (where it is -1). Fine's theorem makes both
+    intervals non-empty for a classical table. Gluing p_0 p_1 / p(a0, a1)
+    makes B0 and B1 independent given A0, A1 and matches both triangles.
+    Joints-only tables take zero singles, which flipping every outcome of
+    any mixture shows to be realizable too.
+
+    The signs are written out, yet every float operation is that of the
+    generic construction over sign tables, in the same order; the test
+    suite keeps that construction and compares the weights bit for bit.
+    Each sum of two minima starts from 0.0, as ``sum`` does, and each clamp
+    is max(0.0, v), so a signed zero rounds as it did there.
     """
-    free = [
-        [
-            1.0
-            + a0 * singles_a[0]
-            + a1 * singles_a[1]
-            + b * (singles_b[k] + a0 * joints[k] + a1 * joints[2 + k])
-            for a0, a1, b in _ATOMS
-        ]
-        for k in range(2)
-    ]
+    sa0, sa1 = singles_a
+    # 1 + a0 A0 + a1 A1, for (a0, a1) = ++, +-, -+, --.
+    u_pp, u_pm, u_mp, u_mm = 1.0 + sa0 + sa1, 1.0 + sa0 - sa1, 1.0 - sa0 + sa1, 1.0 - sa0 - sa1
+    free, cross, same = [], [], []
+    for k in range(2):
+        sb, e0, e1 = singles_b[k], joints[k], joints[2 + k]
+        v_pp, v_pm, v_mp, v_mm = sb + e0 + e1, sb + e0 - e1, sb - e0 + e1, sb - e0 - e1
+        c = (
+            u_pp + v_pp, u_pp - v_pp, u_pm + v_pm, u_pm - v_pm,
+            u_mp + v_mp, u_mp - v_mp, u_mm + v_mm, u_mm - v_mm,
+        )
+        free.append(c)
+        cross.append(0.0 + min(c[2], c[4]) + min(c[3], c[5]))
+        same.append(0.0 + min(c[0], c[6]) + min(c[1], c[7]))
+    x = (min(cross) - min(same)) / 4.0
 
-    def floor(c, groups):
-        return sum(min(c[i] for i in group) for group in groups)
-
-    x = (min(floor(c, _CROSS) for c in free) - min(floor(c, _SAME) for c in free)) / 4.0
     p = []
-    for c in free:
-        g = [v + s * x for v, s in zip(c, _CHORD)]
-        t_lo = -min(v for v, s in zip(g, _TRIPLE) if s > 0)
-        t_hi = min(v for v, s in zip(g, _TRIPLE) if s < 0)
-        t = (t_lo + t_hi) / 2.0
-        p.append([max(0.0, (v + s * t) / 8.0) for v, s in zip(g, _TRIPLE)])
+    for c0, c1, c2, c3, c4, c5, c6, c7 in free:
+        g0, g1, g2, g3 = c0 + x, c1 + x, c2 - x, c3 - x
+        g4, g5, g6, g7 = c4 - x, c5 - x, c6 + x, c7 + x
+        t = (-min(g0, g3, g5, g6) + min(g1, g2, g4, g7)) / 2.0
+        q = (
+            (g0 + t) / 8.0, (g1 - t) / 8.0, (g2 - t) / 8.0, (g3 + t) / 8.0,
+            (g4 - t) / 8.0, (g5 + t) / 8.0, (g6 + t) / 8.0, (g7 - t) / 8.0,
+        )
+        p.append([v if v > 0.0 else 0.0 for v in q])  # max(0.0, v), written out
 
-    # Atoms 2m and 2m + 1 share the m-th (a0, a1) and have b = +1, -1.
+    # Atoms 2m and 2m + 1 share the m-th (a0, a1) and have b = +1, -1. A
+    # clamped probability is never -0.0, so its sums need no 0.0 start.
     weights = []
+    p0, p1 = p
     for m in range(0, 8, 2):
-        q0, q1 = p[0][m : m + 2], p[1][m : m + 2]
-        pair = (sum(q0) + sum(q1)) / 2.0
-        weights.extend(u * v / pair if pair > 0.0 else 0.0 for u in q0 for v in q1)
+        u0, u1, v0, v1 = p0[m], p0[m + 1], p1[m], p1[m + 1]
+        pair = (u0 + u1 + (v0 + v1)) / 2.0
+        if pair > 0.0:
+            weights += (u0 * v0 / pair, u0 * v1 / pair, u1 * v0 / pair, u1 * v1 / pair)
+        else:
+            weights += (0.0, 0.0, 0.0, 0.0)
     total = math.fsum(weights)
     return [w / total for w in weights]
 

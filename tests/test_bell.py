@@ -197,6 +197,17 @@ def test_violation_threshold():
     assert not is_violated(2.0 + 1e-13)
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["3", b"3", True, None, [3.0], np.array(3.0)],
+    ids=["str", "bytes", "bool", "None", "list", "0-d-array"],
+)
+def test_is_violated_takes_only_a_number(value):
+    # The rule of every number given as a value: no bool, nothing with a length.
+    with pytest.raises(ValueError, match=re.escape(f"must be a number, got {value!r}")):
+        is_violated(value)
+
+
 # ----------------------------------------------------- product_equality_check
 
 
@@ -223,7 +234,7 @@ def test_product_equality_degenerate_tolerance_accepts_anything():
     assert product_equality_check((1, 1, 1, 1), (-1, 1, 1, 1), tol=2.0).all_hold
 
 
-@pytest.mark.parametrize("tol", [-1.0, math.nan])
+@pytest.mark.parametrize("tol", [-1.0, math.nan, "1e-9", None, [1e-9], True])
 def test_product_equality_checks_its_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance must be a non-negative number"):
         product_equality_check((1, 1, 1, 1), (1, 1, 1, 1), tol=tol)

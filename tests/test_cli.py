@@ -629,6 +629,7 @@ def test_scipy_stays_out_of_the_runtime():
         ("-m", "contextprob", "bell", "--odd-event", "0"),
         ("-m", "contextprob", "kolmo", "--scenario", QUANTUM_PATTERN),
         ("-m", "contextprob", "sweep", "--grid", "0:1:0.001"),
+        ("-m", "contextprob", "kolmo", "--odd-event", "1"),  # a feasible table: Fine's weights
     ],
 )
 def test_bell_kolmo_and_sweep_run_without_numpy(args):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.optimize import linprog
 
 from contextprob import polytope
 from contextprob._tolerance import DEFAULT_TOL
-from contextprob.bell import CorrelationTable, bell_value_all_forms
+from contextprob.bell import CHSH_FORMS, CorrelationTable, bell_value_all_forms
 from contextprob.cli import main
 from contextprob.polytope import (
     CLASSICAL,
@@ -271,9 +272,12 @@ def test_tolerance_bounds_the_weight_residual():
     assert realizable(t, tol=result.max_residual) == result
     with pytest.raises(ValueError, match="above the tolerance"):
         realizable(t, tol=result.max_residual / 2)
-    for bad in (-1e-9, math.nan):
-        with pytest.raises(ValueError, match="tolerance"):
+    for bad in (-1e-9, math.nan, "1e-9", None, [1e-9], True):
+        with pytest.raises(ValueError, match="tolerance must be a non-negative number"):
             realizable(t, tol=bad)
+    # The check returns a float, and the residual message prints that float.
+    with pytest.raises(ValueError, match=re.escape(f"tolerance {result.max_residual / 2!r}")):
+        realizable(t, tol=np.float64(result.max_residual / 2))
 
 
 def moment_matrix_residual(t, weights):
@@ -553,3 +557,146 @@ def test_classification_bands_partition_random_tables():
             assert 2.0 - 1e-12 < value <= TSIRELSON_BOUND + 1e-12
         else:
             assert value > TSIRELSON_BOUND - 1e-12
+
+
+# ------------------------------------------------- bit-identical kernels
+#
+# The generic construction the straight-line kernels replaced, kept as the
+# reference: the same float operations over sign tables, with int x float
+# sign products. Every float the kernels report must keep its bits.
+
+_ATOMS = tuple(itertools.product((1, -1), repeat=3))
+_CHORD = tuple(a0 * a1 for a0, a1, _ in _ATOMS)
+_TRIPLE = tuple(a0 * a1 * b for a0, a1, b in _ATOMS)
+_SAME = tuple(
+    tuple(i for i, (a0, a1, bi) in enumerate(_ATOMS) if a0 == a1 and bi == b)
+    for b in (1, -1)
+)
+_CROSS = tuple(
+    tuple(i for i, (a0, a1, bi) in enumerate(_ATOMS) if a0 != a1 and bi == b)
+    for b in (1, -1)
+)
+
+
+def reference_fine_weights(joints, singles_a, singles_b):
+    free = [
+        [
+            1.0
+            + a0 * singles_a[0]
+            + a1 * singles_a[1]
+            + b * (singles_b[k] + a0 * joints[k] + a1 * joints[2 + k])
+            for a0, a1, b in _ATOMS
+        ]
+        for k in range(2)
+    ]
+
+    def floor(c, groups):
+        return sum(min(c[i] for i in group) for group in groups)
+
+    x = (min(floor(c, _CROSS) for c in free) - min(floor(c, _SAME) for c in free)) / 4.0
+    p = []
+    for c in free:
+        g = [v + s * x for v, s in zip(c, _CHORD)]
+        t_lo = -min(v for v, s in zip(g, _TRIPLE) if s > 0)
+        t_hi = min(v for v, s in zip(g, _TRIPLE) if s < 0)
+        t = (t_lo + t_hi) / 2.0
+        p.append([max(0.0, (v + s * t) / 8.0) for v, s in zip(g, _TRIPLE)])
+    weights = []
+    for m in range(0, 8, 2):
+        q0, q1 = p[0][m : m + 2], p[1][m : m + 2]
+        pair = (sum(q0) + sum(q1)) / 2.0
+        weights.extend(u * v / pair if pair > 0.0 else 0.0 for u in q0 for v in q1)
+    total = math.fsum(weights)
+    return [w / total for w in weights]
+
+
+def reference_positivity_slacks(t):
+    a, b, joints = t.singles_a, t.singles_b, t.joints_flat()
+    return [
+        math.fsum((1.0, sa * a[i], sb * b[j], sa * sb * joints[2 * i + j])) / 4.0
+        for i, j, sa, sb in itertools.product(range(2), range(2), (1, -1), (1, -1))
+    ]
+
+
+def reference_chsh_slacks(t):
+    (e00, e01), (e10, e11) = t.joint
+    return tuple(
+        math.fsum((2.0, -s0 * e00, -s1 * e01, -s2 * e10, -s3 * e11))
+        for s0, s1, s2, s3 in CHSH_FORMS
+    )
+
+
+def fingerprint(t):
+    """Every float the decision reports on ``t``, as ``float.hex``."""
+    result = realizable(t)
+    witness = result.witness
+    positivity = polytope._positivity_slacks(t) if t.has_singles else []
+    return (
+        result.feasible,
+        None if result.weights is None else [w.hex() for w in result.weights],
+        result.max_residual.hex(),
+        witness and (witness.kind, witness.value.hex(), witness.description, witness.signs),
+        bell_value_all_forms(t).hex(),
+        classify(t),
+        [v.hex() for v in t._chsh_slacks],
+        [v.hex() for v in positivity],
+    )
+
+
+MOMENTS = np.array(
+    [(*s.joint_products(), *s.outcome_vector()) for s in enumerate_strategies()], dtype=float
+)
+
+
+def bit_identity_cases(rng):
+    """(joints, singles or None) of the tables the bit-identity test reads."""
+    for n in range(4000):  # Dirichlet mixtures
+        m = np.clip(rng.dirichlet(np.full(16, (0.1, 0.5, 1.0, 5.0)[n % 4])) @ MOMENTS, -1, 1)
+        yield m[:4].tolist(), m[4:].tolist() if n % 2 else None
+    for n in range(4000):  # sparse mixtures: vertices, edges and faces
+        w = np.zeros(16)
+        support = rng.choice(16, size=1 + n % 4, replace=False)
+        w[support] = rng.dirichlet(np.ones(support.size))
+        m = np.clip(w @ MOMENTS, -1, 1)
+        # Some entries at a signed zero.
+        m[rng.random(8) < 0.1] = rng.choice((0.0, -0.0))
+        yield m[:4].tolist(), m[4:].tolist() if n % 2 else None
+    strategies = enumerate_strategies()
+    chsh = [k for k, s in enumerate(strategies) if np.dot((1, 1, 1, -1), s.joint_products()) == 2]
+    positive = [k for k, s in enumerate(strategies) if s.outcome_vector()[::2] != (1, 1)]
+    for delta in DELTAS:  # facet-adjacent tables, either side of the facet
+        for side in (1, -1):
+            for n in range(100):
+                face = chsh if n % 2 else positive
+                w = np.zeros(16)
+                w[face] = rng.dirichlet(np.ones(len(face)))
+                m = w @ MOMENTS
+                if n % 2:
+                    m[:4] += np.array((1, 1, 1, -1)) * side * delta / 4.0
+                else:
+                    m[[0, 4, 6]] -= side * delta * 4.0 / 3.0
+                m = np.clip(m, -1, 1)
+                yield m[:4].tolist(), m[4:].tolist() if n % 4 < 3 else None
+    for n in range(1600):  # uniform tables, mostly infeasible
+        m = rng.uniform(-1, 1, 8)
+        yield m[:4].tolist(), m[4:].tolist() if n % 2 else None
+
+
+def case_table(joints, singles):
+    kw = {} if singles is None else {"singles_a": singles[:2], "singles_b": singles[2:]}
+    return CorrelationTable(ROWS, COLS, (joints[:2], joints[2:]), **kw)
+
+
+def test_kernels_match_the_generic_construction_bit_for_bit(monkeypatch):
+    cases = list(bit_identity_cases(np.random.default_rng(20261019)))
+    assert len(cases) >= 10_000
+    got = [fingerprint(case_table(*case)) for case in cases]
+    monkeypatch.setattr(polytope, "_fine_weights", reference_fine_weights)
+    monkeypatch.setattr(polytope, "_positivity_slacks", reference_positivity_slacks)
+    monkeypatch.setattr(CorrelationTable, "_chsh_slacks", property(reference_chsh_slacks))
+    outcomes = set()
+    for case, mine in zip(cases, got):
+        assert mine == fingerprint(case_table(*case)), case
+        outcomes.add(mine[3][0] if mine[3] else "feasible")
+    assert outcomes == {"feasible", "bell-form", "outcome-probability"}
+    assert sum(w == "0x0.0p+0" for mine in got if mine[1] for w in mine[1]) > 10_000
