@@ -1,16 +1,31 @@
-"""Checked label sequences: the one label check, and where each label sits.
+"""Checked label sequences: the one label check, every label lookup, and the
+errors both give.
 
 ``distinct_labels`` checks labels once and returns them as ``Labels``, a
 tuple that knows each label's position. ``Labels`` are returned unchanged by
-a later check, and every label lookup in the package reads their
-``positions``.
+a later check. Every label lookup in the package is ``Labels.index_of``, and
+every error that names known labels lists them by ``listing``: at most 20,
+then how many more, so a message stays short at any basis size.
+``same_labels`` is the one check that two objects share a basis, and
+``label_pair`` the one check of a (left, right) pair.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+#: Most labels an error message names; 20 lists every shipped fixture whole.
+_LISTED = 20
+
+
+def listing(labels: Sequence) -> str:
+    """The reprs of at most ``_LISTED`` labels, comma-separated, then how many
+    are left out."""
+    shown = ", ".join(map(repr, labels[:_LISTED]))
+    more = len(labels) - _LISTED
+    return f"{shown}, and {more} more" if more > 0 else shown
 
 
 class Labels(tuple):
@@ -28,8 +43,36 @@ class Labels(tuple):
         """
         return MappingProxyType({x: i for i, x in enumerate(self)})
 
+    def index_of(self, label: str, kind: str) -> int:
+        """The label's position. A missing or unhashable label is a
+        ``ValueError`` naming it, ``kind`` ("exemplar", "term", ...) and the
+        known labels by ``listing``."""
+        try:
+            return self.positions[label]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"unknown {kind} {label!r}; available {kind}s: {listing(self)}"
+            ) from None
+
     def __reduce__(self):
         return Labels, (tuple(self),)  # a copy rebuilds its map on first use
+
+
+def same_labels(a: Labels, b: Labels, what: str) -> None:
+    """Refuse two bases that differ, with ``what`` and both by ``listing``."""
+    if a != b:
+        raise ValueError(f"{what}: [{listing(a)}] vs [{listing(b)}]")
+
+
+def label_pair(pair) -> tuple[str, str]:
+    """A (left, right) pair as a tuple: a tuple or list of two labels, each a
+    non-empty string as in ``distinct_labels``. Anything else, a string such
+    as ``"ab"`` too, is a ``ValueError`` naming it."""
+    if isinstance(pair, (tuple, list)) and len(pair) == 2:
+        x, y = pair
+        if isinstance(x, str) and x and isinstance(y, str) and y:
+            return tuple(pair)  # a tuple itself, not a copy
+    raise ValueError(f"a pair must be two non-empty string labels, got {pair!r}")
 
 
 def distinct_labels(labels: Iterable[str], kind: str) -> Labels:

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
+from ._labels import listing
 from ._tolerance import DEFAULT_TOL, GRID_SLACK, RESIDUAL_TOL, WEIGHT_CUTOFF, check_tolerance
 
 if TYPE_CHECKING:
@@ -42,20 +43,13 @@ def _digest(path: str | Path) -> str:
 
 def _resolve_context(table: concepts.RatingTable, query: str) -> str:
     """Exact context label, or a unique case-insensitive substring of one."""
-    if query in table.contexts.positions:
-        return query
-    hits = [c for c in table.contexts if query.lower() in c.lower()]
-    if len(hits) == 1:
-        return hits[0]
-    if len(hits) > 1:
-        raise ValueError(
-            f"context {query!r} is ambiguous; matches: "
-            + ", ".join(repr(c) for c in hits)
-        )
-    raise ValueError(
-        f"unknown context {query!r}; available contexts: "
-        + ", ".join(repr(c) for c in table.contexts)
-    )
+    if query not in table.contexts.positions:
+        hits = [c for c in table.contexts if query.lower() in c.lower()]
+        if len(hits) > 1:
+            raise ValueError(f"context {query!r} is ambiguous; matches: {listing(hits)}")
+        if hits:
+            return hits[0]
+    return table.contexts[table.context_index(query)]
 
 
 def _pick_context(table: concepts.RatingTable, given: str | None, flag: str) -> str:
@@ -64,8 +58,8 @@ def _pick_context(table: concepts.RatingTable, given: str | None, flag: str) -> 
     if len(table.contexts) == 1:
         return table.contexts[0]
     raise ValueError(
-        f"{flag} is required for a multi-context table; available contexts: "
-        + ", ".join(repr(c) for c in table.contexts)
+        f"{flag} is required for a multi-context table; "
+        f"available contexts: {listing(table.contexts)}"
     )
 
 

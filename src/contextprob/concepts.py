@@ -66,22 +66,10 @@ class RatingTable:
         object.__setattr__(self, "ratings", ratings)
 
     def context_index(self, context: str) -> int:
-        try:
-            return self.contexts.positions[context]
-        except KeyError:
-            raise ValueError(
-                f"unknown context {context!r}; available contexts: "
-                + ", ".join(repr(c) for c in self.contexts)
-            ) from None
+        return self.contexts.index_of(context, "context")
 
     def exemplar_index(self, exemplar: str) -> int:
-        try:
-            return self.exemplars.positions[exemplar]
-        except KeyError:
-            raise ValueError(
-                f"unknown exemplar {exemplar!r}; available exemplars: "
-                + ", ".join(repr(x) for x in self.exemplars)
-            ) from None
+        return self.exemplars.index_of(exemplar, "exemplar")
 
     def rating(self, exemplar: str, context: str) -> float:
         return float(
@@ -135,19 +123,14 @@ class ContextDistribution:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "probabilities", dict(zip(labels, probs)))
         object.__setattr__(self, "_exemplars", labels)
+        object.__setattr__(self, "_probs", probs)
 
     @property
     def exemplars(self) -> Labels:
         return self._exemplars
 
     def probability(self, exemplar: str) -> float:
-        try:
-            return self.probabilities[exemplar]
-        except KeyError:
-            raise ValueError(
-                f"unknown exemplar {exemplar!r}; available exemplars: "
-                + ", ".join(repr(x) for x in self.probabilities)
-            ) from None
+        return self._probs[self._exemplars.index_of(exemplar, "exemplar")]
 
 
 def parse_ratings(text: str) -> RatingTable:
@@ -231,7 +214,6 @@ def context_state(table: RatingTable, context: str) -> StateVector:
 
 def typicality(table: RatingTable, context: str, exemplar: str) -> float:
     """Choice probability of one exemplar under a context."""
-    table.exemplar_index(exemplar)  # label check with a helpful message
     return context_distribution(table, context).probability(exemplar)
 
 

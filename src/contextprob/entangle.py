@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._labels import Labels, distinct_labels
+from ._labels import Labels, distinct_labels, label_pair, listing, same_labels
 from ._tolerance import DEFAULT_TOL
 from .concepts import ContextDistribution
 from .hilbert import Observable
@@ -36,12 +36,9 @@ class CompatibilityRelation:
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((str(a), str(b)) for a, b in self.pairs)
+        pairs = tuple(map(label_pair, self.pairs))
         if not pairs:
             raise ValueError("compatibility relation needs at least one pair")
-        for a, b in pairs:
-            if not a or not b:
-                raise ValueError(f"pair labels must be non-empty, got ({a!r}, {b!r})")
         if len(set(pairs)) != len(pairs):
             seen: set[tuple[str, str]] = set()
             dup = next(p for p in pairs if p in seen or seen.add(p))
@@ -111,19 +108,17 @@ class EntangledState:
     def __post_init__(self) -> None:
         basis_a = distinct_labels(self.basis_a, "side A basis")
         basis_b = distinct_labels(self.basis_b, "side B basis")
-        pos_a, pos_b = basis_a.positions, basis_b.positions
         rows: list[int] = []
         cols: list[int] = []
         amps: list[complex] = []
-        for (x, y), a in dict(self.amplitudes).items():
-            if x not in pos_a:
-                raise ValueError(f"pair label {x!r} is not in side A basis {list(basis_a)}")
-            if y not in pos_b:
-                raise ValueError(f"pair label {y!r} is not in side B basis {list(basis_b)}")
+        for pair, a in dict(self.amplitudes).items():
+            x, y = label_pair(pair)
+            i = basis_a.index_of(x, "side A label")
+            j = basis_b.index_of(y, "side B label")
             a = complex(a)
             if a != 0:
-                rows.append(pos_a[x])
-                cols.append(pos_b[y])
+                rows.append(i)
+                cols.append(j)
                 amps.append(a)
         self._set(
             basis_a,
@@ -249,16 +244,8 @@ def combine(
 
 def joint_expectation(state: EntangledState, obs_a: Observable, obs_b: Observable) -> float:
     """Mean of the product of two one-sided +1/-1 observables."""
-    if obs_a.basis != state.basis_a:
-        raise ValueError(
-            f"side A basis mismatch: observable {list(obs_a.basis)} vs "
-            f"state {list(state.basis_a)}"
-        )
-    if obs_b.basis != state.basis_b:
-        raise ValueError(
-            f"side B basis mismatch: observable {list(obs_b.basis)} vs "
-            f"state {list(state.basis_b)}"
-        )
+    same_labels(obs_a.basis, state.basis_a, "side A basis mismatch, observable vs state")
+    same_labels(obs_b.basis, state.basis_b, "side B basis mismatch, observable vs state")
     sa = np.array([obs_a.signs[x] for x in state.basis_a], dtype=float)
     sb = np.array([obs_b.signs[y] for y in state.basis_b], dtype=float)
     total = float(np.dot(sa[state._rows] * sb[state._cols], state._probs))
@@ -284,11 +271,7 @@ def marginal(state: EntangledState, side: str) -> ContextDistribution:
 def conditional_collapse(state: EntangledState, side: str, exemplar: str) -> EntangledState:
     """Condition the joint state on one side's exemplar being observed."""
     basis, idx = _side(state, side)
-    if exemplar not in basis.positions:
-        raise ValueError(
-            f"unknown exemplar {exemplar!r} on side {side}; basis is {list(basis)}"
-        )
-    kept = idx == basis.positions[exemplar]
+    kept = idx == basis.index_of(exemplar, "exemplar")
     mass = float(np.sum(state._probs[kept]))
     if mass <= DEFAULT_TOL:
         raise ValueError(
@@ -315,10 +298,11 @@ def guppy_gap(
     strictly positive gap means the combined concept rates the exemplar
     higher than either concept alone ever did.
     """
-    if exemplar not in state.basis_a.positions or exemplar not in state.basis_b.positions:
+    a, b = state.basis_a, state.basis_b
+    if not isinstance(exemplar, str) or exemplar not in a.positions or exemplar not in b.positions:
         raise ValueError(
             f"exemplar {exemplar!r} must appear in both bases; "
-            f"side A has {list(state.basis_a)}, side B has {list(state.basis_b)}"
+            f"side A has [{listing(a)}], side B has [{listing(b)}]"
         )
     joint_p = marginal(state, "A").probability(exemplar)
     return joint_p - max(dist_a.probability(exemplar), dist_b.probability(exemplar))

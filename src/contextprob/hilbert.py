@@ -17,18 +17,11 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ._labels import distinct_labels
+from ._labels import distinct_labels, listing, same_labels
 from ._tolerance import DEFAULT_TOL
 
 if TYPE_CHECKING:
     from .entangle import EntangledState
-
-
-def _same_basis(a, b, op: str) -> None:
-    if a.basis != b.basis:
-        raise ValueError(
-            f"basis mismatch in {op}: {list(a.basis)} vs {list(b.basis)}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,12 +51,7 @@ class StateVector:
         return len(self.basis)
 
     def index(self, label: str) -> int:
-        try:
-            return self.basis.positions[label]
-        except KeyError:
-            raise ValueError(
-                f"unknown basis label {label!r}; basis is {list(self.basis)}"
-            ) from None
+        return self.basis.index_of(label, "basis label")
 
     def amplitude(self, label: str) -> complex:
         return complex(self.amplitudes[self.index(label)])
@@ -85,9 +73,7 @@ class Projector:
         support = frozenset(self.support)
         stray = support.difference(basis.positions)
         if stray:
-            raise ValueError(
-                f"projector support not in basis: {sorted(stray)!r}"
-            )
+            raise ValueError(f"projector support not in basis: [{listing(sorted(stray))}]")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "support", support)
 
@@ -112,7 +98,7 @@ class Observable:
             stray = sorted(set(signs) - set(basis))
             raise ValueError(
                 f"observable signs must cover the basis exactly; "
-                f"missing {missing!r}, stray {stray!r}"
+                f"missing [{listing(missing)}], stray [{listing(stray)}]"
             )
         for label, s in signs.items():
             if s not in (1, -1):
@@ -121,10 +107,7 @@ class Observable:
         object.__setattr__(self, "signs", signs)
 
     def sign(self, label: str) -> int:
-        if label not in self.signs:
-            raise ValueError(
-                f"unknown basis label {label!r}; basis is {list(self.basis)}"
-            )
+        self.basis.index_of(label, "basis label")  # names an unknown label
         return self.signs[label]
 
 
@@ -138,10 +121,8 @@ def sign_projectors(obs: Observable) -> tuple[Projector, Projector]:
 def basis_state(basis: Sequence[str], label: str) -> StateVector:
     """The state with all amplitude on one label."""
     b = distinct_labels(basis, "basis")
-    if label not in b.positions:
-        raise ValueError(f"unknown basis label {label!r}; basis is {list(b)}")
     amps = np.zeros(len(b), dtype=complex)
-    amps[b.positions[label]] = 1.0
+    amps[b.index_of(label, "basis label")] = 1.0
     return StateVector(b, amps)
 
 
@@ -173,7 +154,7 @@ def normalize(basis: Sequence[str], amplitudes: Sequence[complex]) -> StateVecto
 
 def inner(u: StateVector, v: StateVector) -> complex:
     """Hermitian inner product <u|v>, conjugating the first argument."""
-    _same_basis(u, v, "inner product")
+    same_labels(u.basis, v.basis, "basis mismatch in inner product")
     return complex(np.vdot(u.amplitudes, v.amplitudes))
 
 
@@ -199,7 +180,7 @@ def tensor(u: StateVector, v: StateVector) -> EntangledState:
 
 def born_prob(proj: Projector, state: StateVector) -> float:
     """Probability of the outcome ``proj`` keeps, for a given state."""
-    _same_basis(proj, state, "born_prob")
+    same_labels(proj.basis, state.basis, "basis mismatch in born_prob")
     mask = np.fromiter(
         (x in proj.support for x in state.basis), dtype=bool, count=state.dim
     )
@@ -209,7 +190,7 @@ def born_prob(proj: Projector, state: StateVector) -> float:
 
 def collapse(proj: Projector, state: StateVector) -> StateVector:
     """Project a state onto ``proj``'s support and renormalize."""
-    _same_basis(proj, state, "collapse")
+    same_labels(proj.basis, state.basis, "basis mismatch in collapse")
     mask = np.fromiter(
         (x in proj.support for x in state.basis), dtype=bool, count=state.dim
     )
@@ -228,9 +209,6 @@ def expectation(obs: Observable, state: StateVector) -> float:
     Computed as the difference of the two Born probabilities, so it agrees
     with them exactly, term for term.
     """
-    if obs.basis != state.basis:
-        raise ValueError(
-            f"basis mismatch in expectation: {list(obs.basis)} vs {list(state.basis)}"
-        )
+    same_labels(obs.basis, state.basis, "basis mismatch in expectation")
     plus, minus = sign_projectors(obs)
     return born_prob(plus, state) - born_prob(minus, state)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._labels import Labels, distinct_labels
+from ._labels import Labels, distinct_labels, listing
 from ._tolerance import DEFAULT_TOL
 
 DEFAULT_ORDER_BUDGET = 1_000_000
@@ -64,12 +64,7 @@ class TermDocMatrix:
         object.__setattr__(self, "counts", counts)
 
     def term_index(self, term: str) -> int:
-        try:
-            return self.terms.positions[term]
-        except KeyError:
-            raise ValueError(
-                f"unknown term {term!r}; vocabulary has {len(self.terms)} terms"
-            ) from None
+        return self.terms.index_of(term, "term")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,13 +104,7 @@ class SemanticSpace:
         return (self.word_vectors * self.singular_values) @ self.doc_vectors.T
 
     def word_vector(self, term: str) -> np.ndarray:
-        try:
-            i = self.terms.positions[term]
-        except KeyError:
-            raise ValueError(
-                f"unknown term {term!r}; vocabulary has {len(self.terms)} terms"
-            ) from None
-        return self.word_vectors[i] * self.singular_values
+        return self.word_vectors[self.terms.index_of(term, "term")] * self.singular_values
 
 
 def parse_corpus(text: str, lowercase: bool = True) -> list[tuple[str, list[str]]]:
@@ -264,7 +253,7 @@ def _vocab_indices(tokens: Sequence[str], vocab: Sequence[str]) -> tuple[Labels,
     pos = vocab.positions
     missing = sorted({t for t in tokens if t not in pos})
     if missing:
-        raise ValueError(f"tokens not in vocabulary: {missing!r}")
+        raise ValueError(f"tokens not in vocabulary: [{listing(missing)}]")
     return vocab, [pos[t] for t in tokens]
 
 

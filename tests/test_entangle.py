@@ -62,6 +62,47 @@ def test_relation_rejects_duplicates():
         CompatibilityRelation((("a", "b"), ("a", "b")))
 
 
+PAIR_ERROR = "a pair must be two non-empty string labels, got "
+
+
+def test_relation_refuses_labels_that_are_not_strings():
+    # They were turned into strings: (1, None) became ('1', 'None').
+    with pytest.raises(ValueError) as err:
+        CompatibilityRelation(((1, None),))
+    assert str(err.value) == PAIR_ERROR + "(1, None)"
+    for pair in (("a", ""), ("a", b"b"), ("a", ["b"])):
+        with pytest.raises(ValueError, match="a pair must be two"):
+            CompatibilityRelation((("x", "y"), pair))
+
+
+def test_relation_refuses_a_string_as_a_pair():
+    # "ab" was read as the pair ('a', 'b').
+    with pytest.raises(ValueError) as err:
+        CompatibilityRelation(("ab",))
+    assert str(err.value) == PAIR_ERROR + "'ab'"
+    for pair in (("a",), ("a", "b", "c"), None):
+        with pytest.raises(ValueError, match="a pair must be two"):
+            CompatibilityRelation((pair,))
+    # A list of two labels is a pair; it is kept as a tuple.
+    assert CompatibilityRelation((["a", "b"],)).pairs == (("a", "b"),)
+
+
+def test_joint_state_refuses_a_string_key():
+    # The key "ab" was read as the pair ('a', 'b').
+    with pytest.raises(ValueError) as err:
+        EntangledState(("a",), ("b",), {"ab": 1.0})
+    assert str(err.value) == PAIR_ERROR + "'ab'"
+
+
+def test_joint_state_refuses_a_key_that_is_no_pair():
+    # The key 5 raised TypeError.
+    with pytest.raises(ValueError) as err:
+        EntangledState(("a",), ("b",), {5: 1.0})
+    assert str(err.value) == PAIR_ERROR + "5"
+    with pytest.raises(ValueError, match="a pair must be two"):
+        EntangledState(("a",), ("b",), {("a", "b", "c"): 1.0})
+
+
 def test_parse_relation_skips_comments_and_blanks():
     rel = parse_relation("# pairs\n\na\tb\nc\td\n")
     assert rel.pairs == (("a", "b"), ("c", "d"))

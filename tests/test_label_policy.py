@@ -1,5 +1,6 @@
 """Every labelled class checks its labels through ``_labels.distinct_labels``,
-and every label lookup reads the ``positions`` of the checked labels."""
+every label lookup reads the ``positions`` of the checked labels, and every
+lookup or basis check fails with one short ``ValueError`` from ``_labels``."""
 
 import ast
 import copy
@@ -10,13 +11,40 @@ import numpy as np
 import pytest
 
 import contextprob
-from contextprob._labels import Labels, distinct_labels
+from contextprob import cli
+from contextprob._labels import Labels, distinct_labels, listing
 from contextprob.bell import load_scenario
-from contextprob.concepts import RatingTable, context_distribution, context_state
-from contextprob.entangle import combine, full_relation
+from contextprob.concepts import RatingTable, context_distribution, context_state, typicality
+from contextprob.entangle import (
+    CompatibilityRelation,
+    EntangledState,
+    combine,
+    conditional_collapse,
+    full_relation,
+    guppy_gap,
+    joint_expectation,
+)
 from contextprob.fixtures import fixture_path
-from contextprob.hilbert import Observable, normalize, sign_projectors, tensor
-from contextprob.semspace import build_matrix, parse_corpus, svd_truncate
+from contextprob.hilbert import (
+    Observable,
+    basis_state,
+    born_prob,
+    collapse,
+    expectation,
+    identity_projector,
+    inner,
+    normalize,
+    sign_projectors,
+    tensor,
+)
+from contextprob.semspace import (
+    SemanticSpace,
+    TermDocMatrix,
+    build_matrix,
+    parse_corpus,
+    similarity,
+    svd_truncate,
+)
 
 PACKAGE = Path(contextprob.__file__).parent
 SCENARIO = fixture_path("tsirelson_pattern.json")
@@ -192,3 +220,215 @@ def test_a_copy_keeps_labels_and_lookups(clone):
     assert (twin.basis_a, twin.basis_b) == (state.basis_a, state.basis_b) and twin.dim == 4
     assert twin.amplitude("b", "x") == state.amplitude("b", "x") == pytest.approx(0.8)
     assert twin.basis_b.positions["y"] == 1 and ("a", "y") not in twin.amplitudes
+
+
+# ------------------------------------------------ lookups and their errors
+
+
+def test_a_listing_names_at_most_20_labels():
+    labels = tuple(f"e{i}" for i in range(25))
+    assert listing(labels[:20]) == ", ".join(repr(x) for x in labels[:20])
+    assert listing(labels[:21]) == listing(labels[:20]) + ", and 1 more"
+    assert listing(labels) == listing(labels[:20]) + ", and 5 more"
+    assert listing(()) == ""
+
+
+def uniform(labels):
+    return normalize(labels, np.ones(len(labels)))
+
+
+def one_context(labels):
+    """A one-context table over ``labels`` and its distribution."""
+    table = RatingTable(labels, ("c",), np.ones((len(labels), 1)))
+    return table, context_distribution(table, "c")
+
+
+def diagonal(labels):
+    """A joint state over the pairs (x, x) of ``labels``, and its two inputs."""
+    _, dist = one_context(labels)
+    return combine(dist, dist, CompatibilityRelation(tuple(zip(labels, labels)))), dist, dist
+
+
+def space(labels):
+    return SemanticSpace(1, labels, ("d",), np.ones((len(labels), 1)), [1.0], [[1.0]])
+
+
+def other(labels, label):
+    """``labels`` with the last one replaced by ``label``."""
+    return labels[:-1] + (label,)
+
+
+def side_a_mismatch(labels, label):
+    state = diagonal(labels)[0]
+    obs_a = Observable(other(labels, label), dict.fromkeys(other(labels, label), 1))
+    return joint_expectation(state, obs_a, Observable(labels, dict.fromkeys(labels, 1)))
+
+
+def side_b_mismatch(labels, label):
+    state = diagonal(labels)[0]
+    obs_b = Observable(other(labels, label), dict.fromkeys(other(labels, label), 1))
+    return joint_expectation(state, Observable(labels, dict.fromkeys(labels, 1)), obs_b)
+
+
+#: Every label lookup and basis check: the start of its error message, with
+#: ``{}`` for the label's repr, and ``call(labels, label)``, which looks
+#: ``label`` up in an object over ``labels``, or meets such an object with
+#: one over ``labels`` with its last label replaced by ``label``.
+ENTRY_POINTS = {
+    "RatingTable.context_index": (
+        "unknown context {}",
+        lambda ls, x: RatingTable(("e",), ls, np.ones((1, len(ls)))).context_index(x),
+    ),
+    "RatingTable.exemplar_index": (
+        "unknown exemplar {}",
+        lambda ls, x: one_context(ls)[0].exemplar_index(x),
+    ),
+    "ContextDistribution.probability": (
+        "unknown exemplar {}",
+        lambda ls, x: one_context(ls)[1].probability(x),
+    ),
+    "typicality": ("unknown exemplar {}", lambda ls, x: typicality(one_context(ls)[0], "c", x)),
+    "cli._resolve_context": (
+        "unknown context {}",
+        lambda ls, x: cli._resolve_context(RatingTable(("e",), ls, np.ones((1, len(ls)))), x),
+    ),
+    "StateVector.index": ("unknown basis label {}", lambda ls, x: uniform(ls).index(x)),
+    "StateVector.amplitude": ("unknown basis label {}", lambda ls, x: uniform(ls).amplitude(x)),
+    "Observable.sign": (
+        "unknown basis label {}",
+        lambda ls, x: Observable(ls, dict.fromkeys(ls, 1)).sign(x),
+    ),
+    "basis_state": ("unknown basis label {}", lambda ls, x: basis_state(ls, x)),
+    "TermDocMatrix.term_index": (
+        "unknown term {}",
+        lambda ls, x: TermDocMatrix(ls, ("d",), np.ones((len(ls), 1))).term_index(x),
+    ),
+    "SemanticSpace.word_vector": ("unknown term {}", lambda ls, x: space(ls).word_vector(x)),
+    "similarity": ("unknown term {}", lambda ls, x: similarity(space(ls), ls[0], x)),
+    "combine": (
+        "unknown exemplar {}",
+        lambda ls, x: combine(*diagonal(ls)[1:], CompatibilityRelation(((ls[0], x),))),
+    ),
+    "conditional_collapse": (
+        "unknown exemplar {}",
+        lambda ls, x: conditional_collapse(diagonal(ls)[0], "B", x),
+    ),
+    "EntangledState side A": (
+        "unknown side A label {}",
+        lambda ls, x: EntangledState(ls, ("y",), {(x, "y"): 1.0}),
+    ),
+    "EntangledState side B": (
+        "unknown side B label {}",
+        lambda ls, x: EntangledState(("y",), ls, {("y", x): 1.0}),
+    ),
+    "guppy_gap": (
+        "exemplar {} must appear in both bases; side A has [",
+        lambda ls, x: guppy_gap(*diagonal(ls), x),
+    ),
+    "inner": (
+        "basis mismatch in inner product: [",
+        lambda ls, x: inner(uniform(ls), uniform(other(ls, x))),
+    ),
+    "born_prob": (
+        "basis mismatch in born_prob: [",
+        lambda ls, x: born_prob(identity_projector(ls), uniform(other(ls, x))),
+    ),
+    "collapse": (
+        "basis mismatch in collapse: [",
+        lambda ls, x: collapse(identity_projector(ls), uniform(other(ls, x))),
+    ),
+    "expectation": (
+        "basis mismatch in expectation: [",
+        lambda ls, x: expectation(Observable(ls, dict.fromkeys(ls, 1)), uniform(other(ls, x))),
+    ),
+    "joint_expectation side A": ("side A basis mismatch, observable vs state: [", side_a_mismatch),
+    "joint_expectation side B": ("side B basis mismatch, observable vs state: [", side_b_mismatch),
+}
+
+#: Where no unhashable label can arrive: a pair key of a joint state is
+#: hashable, a CLI context is a string, and a basis check meets two checked
+#: bases (those messages name no single label).
+NO_UNHASHABLE_CASE = {"EntangledState side A", "EntangledState side B", "cli._resolve_context"}
+NO_UNHASHABLE_CASE |= {name for name, (start, _) in ENTRY_POINTS.items() if "{}" not in start}
+
+SMALL = ("a", "b", "c")
+BIG = tuple(f"e{i:04d}" for i in range(3000))
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_every_lookup_fails_with_one_short_value_error(name):
+    prefix, call = ENTRY_POINTS[name]
+    # An unknown label is named, and so are the known ones.
+    with pytest.raises(ValueError) as err:
+        call(SMALL, "zz")
+    assert str(err.value).startswith(prefix.format("'zz'"))
+    assert "'a'" in str(err.value)
+    # An unhashable label is a ValueError too, not a TypeError.
+    if name not in NO_UNHASHABLE_CASE:
+        with pytest.raises(ValueError):
+            call(SMALL, ["zz"])
+    # The message stays short on a basis of 3,000 labels.
+    with pytest.raises(ValueError) as err:
+        call(BIG, "zz")
+    assert str(err.value).startswith(prefix.format("'zz'"))
+    assert "'e0000'" in str(err.value) and len(str(err.value)) < 1024
+
+
+#: An exception type that a ``KeyError`` matches.
+CATCHES_KEY_ERROR = {"KeyError", "LookupError", "Exception", "BaseException"}
+
+#: A ``KeyError`` that is part of a ``Mapping`` contract, not a lookup's error.
+MAPPING_CONTRACT = {"entangle.py:_PairAmplitudes.__getitem__"}
+
+
+def positions_key_error_catches(source, name):
+    """The functions, as ``file:Class.function``, with a ``try`` whose body
+    reads ``positions`` and whose handlers catch ``KeyError``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Try):
+                caught = {
+                    n.id
+                    for h in child.handlers
+                    for n in ast.walk(h.type or ast.Name("BaseException"))
+                    if isinstance(n, ast.Name)
+                }
+                reads = any(
+                    isinstance(n, ast.Attribute) and n.attr == "positions"
+                    for stmt in child.body
+                    for n in ast.walk(stmt)
+                )
+                if reads and caught & CATCHES_KEY_ERROR:
+                    found.append(f"{name}:{'.'.join(scope)}")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_only_labels_turns_a_missed_lookup_into_an_error():
+    # The scan does find the per-module copies this rule replaced.
+    old = (
+        "class T:\n"
+        "    def term_index(self, term):\n"
+        "        try:\n"
+        "            return self.terms.positions[term]\n"
+        "        except KeyError:\n"
+        "            raise ValueError(term) from None\n"
+        "def f(x):\n"
+        "    try:\n"
+        "        i = basis.positions[x]\n"
+        "    except:\n"
+        "        pass\n"
+    )
+    assert positions_key_error_catches(old, "old") == ["old:T.term_index", "old:f"]
+    sources = sorted(p for p in PACKAGE.glob("*.py") if p.name != "_labels.py")
+    assert len(sources) >= 10
+    hits = [h for p in sources for h in positions_key_error_catches(p.read_text("utf-8"), p.name)]
+    assert set(hits) == MAPPING_CONTRACT
+    assert positions_key_error_catches((PACKAGE / "_labels.py").read_text("utf-8"), "_labels.py")
