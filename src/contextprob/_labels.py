@@ -5,7 +5,9 @@ errors both give.
 tuple that knows each label's position. ``Labels`` are returned unchanged by
 a later check. Every label lookup in the package is ``Labels.index_of``, and
 every error that names known labels lists them by ``listing``: at most 20,
-then how many more, so a message stays short at any basis size.
+then how many more, so a message stays short at any basis size. Each label
+an error names is shown by its repr, cut in the middle past 60 characters,
+so a message stays short at any label length too.
 ``same_labels`` is the one check that two objects share a basis, and
 ``label_pair`` the one check of a (left, right) pair.
 """
@@ -20,10 +22,17 @@ from typing import Iterable, Mapping, Sequence
 _LISTED = 20
 
 
+def _shown(label) -> str:
+    """The label's repr; one longer than 60 characters keeps its first 28 and
+    last 29, joined by "..."."""
+    text = repr(label)
+    return text if len(text) <= 60 else f"{text[:28]}...{text[-29:]}"
+
+
 def listing(labels: Sequence) -> str:
-    """The reprs of at most ``_LISTED`` labels, comma-separated, then how many
-    are left out."""
-    shown = ", ".join(map(repr, labels[:_LISTED]))
+    """The reprs of at most ``_LISTED`` labels, each by ``_shown``,
+    comma-separated, then how many are left out."""
+    shown = ", ".join(map(_shown, labels[:_LISTED]))
     more = len(labels) - _LISTED
     return f"{shown}, and {more} more" if more > 0 else shown
 
@@ -51,7 +60,7 @@ class Labels(tuple):
             return self.positions[label]
         except (KeyError, TypeError):
             raise ValueError(
-                f"unknown {kind} {label!r}; available {kind}s: {listing(self)}"
+                f"unknown {kind} {_shown(label)}; available {kind}s: {listing(self)}"
             ) from None
 
     def __reduce__(self):
@@ -72,7 +81,7 @@ def label_pair(pair) -> tuple[str, str]:
         x, y = pair
         if isinstance(x, str) and x and isinstance(y, str) and y:
             return tuple(pair)  # a tuple itself, not a copy
-    raise ValueError(f"a pair must be two non-empty string labels, got {pair!r}")
+    raise ValueError(f"a pair must be two non-empty string labels, got {_shown(pair)}")
 
 
 def distinct_labels(labels: Iterable[str], kind: str) -> Labels:
@@ -97,9 +106,9 @@ def distinct_labels(labels: Iterable[str], kind: str) -> Labels:
         ok = False
     if not ok:
         bad = next(x for x in out if not isinstance(x, str) or not x)
-        raise ValueError(f"{kind} labels must be non-empty strings, got {bad!r}")
+        raise ValueError(f"{kind} labels must be non-empty strings, got {_shown(bad)}")
     if len(seen) != len(out):
         seen = set()
         dup = next(x for x in out if x in seen or seen.add(x))
-        raise ValueError(f"duplicate {kind} label: {dup!r}")
+        raise ValueError(f"duplicate {kind} label: {_shown(dup)}")
     return Labels(out)

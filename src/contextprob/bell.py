@@ -9,9 +9,10 @@ four single-side expectations. The primary functional is
 whose classical ceiling is 2. The full battery takes the maximum of all
 eight sign placements (one relative minus, anywhere, times a global flip);
 a table is classically explainable exactly when every form stays at or
-below 2. A table computes the exact slack 2 - s.E of each form once, and
-every answer about its forms reads those eight floats; the largest form
-value is then one exact sum for each form tied at the smallest slack.
+below 2. A table computes the exact slack 2 - s.E of each form when it is
+built, and every answer about its forms reads those eight floats; the
+largest form value, also computed then, is one exact sum for each form tied
+at the smallest slack.
 
 The module is pure Python, the mixing sweep included, and never loads numpy.
 """
@@ -36,26 +37,6 @@ CHSH_FORMS: tuple[tuple[int, int, int, int], ...] = tuple(
 )
 
 
-class _computed_once:
-    """A value computed on first read and then kept on the instance.
-
-    ``functools.cached_property`` without the lock it takes on every first
-    read before Python 3.12. As a non-data descriptor it is shadowed by the
-    stored value, so later reads are plain attribute reads.
-    """
-
-    def __init__(self, func) -> None:
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 def _expectations(values, where) -> tuple[float, ...]:
     """``values`` as floats in [-1, 1].
 
@@ -77,7 +58,8 @@ class CorrelationTable:
 
     ``joint[i][j]`` pairs row context i with column context j; it is stored
     as a tuple of two float pairs. When given, ``singles_a`` follows the row
-    contexts and ``singles_b`` the columns.
+    contexts and ``singles_b`` the columns. Building a table also keeps its
+    eight CHSH slacks and its largest form value, which are not fields.
     """
 
     row_contexts: tuple[str, str]
@@ -99,6 +81,9 @@ class CorrelationTable:
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "singles_a", singles_a)
         object.__setattr__(self, "singles_b", singles_b)
+        slacks = _chsh_slacks(joint)
+        object.__setattr__(self, "_chsh_slacks", slacks)
+        object.__setattr__(self, "_top_form", _top_form(joint, slacks))
 
     @property
     def has_singles(self) -> bool:
@@ -108,43 +93,43 @@ class CorrelationTable:
         """The four joints in row-major order."""
         return (*self.joint[0], *self.joint[1])
 
-    @_computed_once
-    def _chsh_slacks(self) -> tuple[float, ...]:
-        """2 - s.E for each form s of ``CHSH_FORMS``, computed once per table.
 
-        Each slack is a ``math.fsum`` of five floats, so it is correctly
-        rounded and its sign is exact. The signs are written out, one line
-        per form in the order of ``CHSH_FORMS``.
-        """
-        (e00, e01), (e10, e11) = self.joint
-        fsum = math.fsum
-        return (
-            fsum((2.0, -e00, -e01, -e10, e11)),
-            fsum((2.0, -e00, -e01, e10, -e11)),
-            fsum((2.0, -e00, e01, -e10, -e11)),
-            fsum((2.0, -e00, e01, e10, e11)),
-            fsum((2.0, e00, -e01, -e10, -e11)),
-            fsum((2.0, e00, -e01, e10, e11)),
-            fsum((2.0, e00, e01, -e10, e11)),
-            fsum((2.0, e00, e01, e10, -e11)),
-        )
+def _chsh_slacks(joint) -> tuple[float, ...]:
+    """2 - s.E for each form s of ``CHSH_FORMS``.
 
-    @_computed_once
-    def _top_form(self) -> tuple[float, tuple[int, int, int, int]]:
-        """The largest s.E over ``CHSH_FORMS``, correctly rounded, and its s.
+    Each slack is a ``math.fsum`` of five floats, so it is correctly
+    rounded and its sign is exact. The signs are written out, one line
+    per form in the order of ``CHSH_FORMS``.
+    """
+    (e00, e01), (e10, e11) = joint
+    fsum = math.fsum
+    return (
+        fsum((2.0, -e00, -e01, -e10, e11)),
+        fsum((2.0, -e00, -e01, e10, -e11)),
+        fsum((2.0, -e00, e01, -e10, -e11)),
+        fsum((2.0, -e00, e01, e10, e11)),
+        fsum((2.0, e00, -e01, -e10, -e11)),
+        fsum((2.0, e00, -e01, e10, e11)),
+        fsum((2.0, e00, e01, -e10, e11)),
+        fsum((2.0, e00, e01, e10, -e11)),
+    )
 
-        Rounding is monotone, so the largest exact s.E is among the forms
-        tied at the smallest slack; each of those is one ``math.fsum``. Of
-        equal values the first form in ``CHSH_FORMS`` wins, as that order
-        is descending.
-        """
-        low = min(self._chsh_slacks)
-        (e00, e01), (e10, e11) = self.joint
-        return max(
-            (math.fsum((s[0] * e00, s[1] * e01, s[2] * e10, s[3] * e11)), s)
-            for s, slack in zip(CHSH_FORMS, self._chsh_slacks)
-            if slack == low
-        )
+
+def _top_form(joint, slacks) -> tuple[float, tuple[int, int, int, int]]:
+    """The largest s.E over ``CHSH_FORMS``, correctly rounded, and its s.
+
+    Rounding is monotone, so the largest exact s.E is among the forms
+    tied at the smallest slack; each of those is one ``math.fsum``. Of
+    equal values the first form in ``CHSH_FORMS`` wins, as that order
+    is descending.
+    """
+    low = min(slacks)
+    (e00, e01), (e10, e11) = joint
+    return max(
+        (math.fsum((s[0] * e00, s[1] * e01, s[2] * e10, s[3] * e11)), s)
+        for s, slack in zip(CHSH_FORMS, slacks)
+        if slack == low
+    )
 
 
 def _joint_grid(joint, rows, cols) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -63,16 +63,6 @@ def _pick_context(table: concepts.RatingTable, given: str | None, flag: str) -> 
     )
 
 
-def _table_record(table: bell.CorrelationTable) -> dict:
-    return {
-        "row_contexts": list(table.row_contexts),
-        "col_contexts": list(table.col_contexts),
-        "joint": [list(row) for row in table.joint],
-        "singles_a": list(table.singles_a) if table.has_singles else None,
-        "singles_b": list(table.singles_b) if table.has_singles else None,
-    }
-
-
 def _load_table(args) -> tuple[bell.CorrelationTable, list[str]]:
     if (args.scenario is None) == (args.odd_event is None):
         raise ValueError("give exactly one of --scenario and --odd-event")
@@ -105,28 +95,25 @@ def _cmd_ratings(args):
 
 
 def _cmd_bell(args):
+    from dataclasses import asdict
+
     from . import bell, polytope
 
     table, inputs = _load_table(args)
     tol = check_tolerance(args.tolerance)  # checked with or without singles
-    value = bell.bell_value(table)
     product = None
     if table.has_singles:
         check = bell.product_equality_check(
             (*table.singles_a, *table.singles_b), table.joints_flat(), tol=tol
         )
-        product = {
-            "cells": [list(row) for row in check.cells],
-            "all_hold": check.all_hold,
-            "tolerance": check.tolerance,
-        }
+        product = asdict(check)
     results = {
-        "bell_value": value,
+        "bell_value": bell.bell_value(table),
         "all_forms_value": bell.bell_value_all_forms(table),
         "violated": polytope.primary_violated(table),
         "classification": polytope.classify(table),
         "product_equality": product,
-        "table": _table_record(table),
+        "table": asdict(table),
     }
     return results, inputs, None
 
@@ -258,6 +245,8 @@ def _cmd_semspace(args):
 
 
 def _cmd_kolmo(args):
+    from dataclasses import asdict
+
     from . import bell, polytope
 
     table, inputs = _load_table(args)
@@ -265,31 +254,18 @@ def _cmd_kolmo(args):
     weights = None
     if result.feasible:
         weights = [
-            {
-                "row_outcomes": list(s.row_outcomes),
-                "col_outcomes": list(s.col_outcomes),
-                "weight": w,
-            }
+            dict(asdict(s), weight=w)
             for s, w in zip(polytope.enumerate_strategies(), result.weights)
             if w > WEIGHT_CUTOFF
         ]
-    witness = None
-    if result.witness is not None:
-        witness = {
-            "kind": result.witness.kind,
-            "value": result.witness.value,
-            "bound": result.witness.bound,
-            "signs": list(result.witness.signs) if result.witness.signs else None,
-            "description": result.witness.description,
-        }
     results = {
         "feasible": result.feasible,
         "classification": polytope.classify(table),
         "all_forms_value": bell.bell_value_all_forms(table),
         "max_residual": result.max_residual,
         "weights": weights,
-        "witness": witness,
-        "table": _table_record(table),
+        "witness": None if result.witness is None else asdict(result.witness),
+        "table": asdict(table),
     }
     return results, inputs, None
 

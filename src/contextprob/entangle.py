@@ -301,7 +301,7 @@ def guppy_gap(
     a, b = state.basis_a, state.basis_b
     if not isinstance(exemplar, str) or exemplar not in a.positions or exemplar not in b.positions:
         raise ValueError(
-            f"exemplar {exemplar!r} must appear in both bases; "
+            f"exemplar {listing((exemplar,))} must appear in both bases; "
             f"side A has [{listing(a)}], side B has [{listing(b)}]"
         )
     joint_p = marginal(state, "A").probability(exemplar)

@@ -71,9 +71,9 @@ class Projector:
     def __post_init__(self) -> None:
         basis = distinct_labels(self.basis, "basis")
         support = frozenset(self.support)
-        stray = support.difference(basis.positions)
+        stray = sorted(support.difference(basis.positions), key=repr)
         if stray:
-            raise ValueError(f"projector support not in basis: [{listing(sorted(stray))}]")
+            raise ValueError(f"projector support not in basis: [{listing(stray)}]")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "support", support)
 
@@ -95,7 +95,7 @@ class Observable:
         signs = dict(self.signs)
         if set(signs) != set(basis):
             missing = sorted(set(basis) - set(signs))
-            stray = sorted(set(signs) - set(basis))
+            stray = sorted(set(signs) - set(basis), key=repr)
             raise ValueError(
                 f"observable signs must cover the basis exactly; "
                 f"missing [{listing(missing)}], stray [{listing(stray)}]"
@@ -197,8 +197,7 @@ def collapse(proj: Projector, state: StateVector) -> StateVector:
     kept = np.where(mask, state.amplitudes, 0.0)
     if float(np.sum(np.abs(kept) ** 2)) <= DEFAULT_TOL:
         raise ValueError(
-            "cannot collapse: state has no amplitude on "
-            f"{sorted(proj.support)!r}"
+            f"cannot collapse: state has no amplitude on [{listing(sorted(proj.support))}]"
         )
     return normalize(state.basis, kept)
 

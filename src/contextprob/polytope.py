@@ -9,9 +9,9 @@ positivity facets join them (Froissart 1981; Collins & Gisin 2004). Every
 facet slack is a ``math.fsum`` of at most five table entries or their
 negations, signs written out, so it is correctly rounded and its sign,
 hence the decision, is exact. The eight CHSH slacks are the table's own,
-computed once by ``CorrelationTable``; ``classify``, ``primary_violated``
-and ``realizable`` all read them. The positivity slacks are computed here,
-for ``realizable``.
+computed when ``CorrelationTable`` builds it; ``classify``,
+``primary_violated`` and ``realizable`` all read them. The positivity slacks
+are computed here, and only when ``realizable`` finds no CHSH form violated.
 
 Mixture weights for a classical table come in closed form from Fine's
 chordal construction, as straight-line float code. The test suite keeps

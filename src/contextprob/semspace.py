@@ -251,6 +251,9 @@ def _vocab_indices(tokens: Sequence[str], vocab: Sequence[str]) -> tuple[Labels,
     """The checked vocabulary and each token's position in it."""
     vocab = distinct_labels(vocab, "vocabulary")
     pos = vocab.positions
+    for t in tokens:
+        if not isinstance(t, str):  # the set below needs hashable tokens
+            raise ValueError(f"tokens must be strings, got {listing((t,))}")
     missing = sorted({t for t in tokens if t not in pos})
     if missing:
         raise ValueError(f"tokens not in vocabulary: [{listing(missing)}]")

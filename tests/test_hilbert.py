@@ -164,6 +164,11 @@ def test_projector_support_must_be_in_basis():
         Projector(AB, frozenset({"nope"}))
 
 
+def test_projector_names_stray_labels_of_mixed_types():
+    with pytest.raises(ValueError, match=r"support not in basis: \['x', 1\]"):
+        Projector(AB, frozenset({1, "x"}))
+
+
 def test_identity_projector_covers_basis():
     assert identity_projector(AB).support == frozenset(AB)
 
@@ -173,6 +178,11 @@ def test_observable_signs_must_cover_basis():
         Observable(AB, {"alpha": 1})
     with pytest.raises(ValueError, match="must be \\+1 or -1"):
         Observable(AB, {"alpha": 1, "beta": 0})
+
+
+def test_observable_names_stray_labels_of_mixed_types():
+    with pytest.raises(ValueError, match=r"missing \[\], stray \['z', 3\]"):
+        Observable(AB, {"alpha": 1, "beta": 1, 3: 1, "z": 1})
 
 
 # --------------------------------------------------------------------- tensor

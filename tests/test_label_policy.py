@@ -12,7 +12,7 @@ import pytest
 
 import contextprob
 from contextprob import cli
-from contextprob._labels import Labels, distinct_labels, listing
+from contextprob._labels import Labels, distinct_labels, label_pair, listing
 from contextprob.bell import load_scenario
 from contextprob.concepts import RatingTable, context_distribution, context_state, typicality
 from contextprob.entangle import (
@@ -27,6 +27,7 @@ from contextprob.entangle import (
 from contextprob.fixtures import fixture_path
 from contextprob.hilbert import (
     Observable,
+    Projector,
     basis_state,
     born_prob,
     collapse,
@@ -231,6 +232,9 @@ def test_a_listing_names_at_most_20_labels():
     assert listing(labels[:21]) == listing(labels[:20]) + ", and 1 more"
     assert listing(labels) == listing(labels[:20]) + ", and 5 more"
     assert listing(()) == ""
+    # A repr of up to 60 characters is shown whole; a longer one keeps its ends.
+    assert listing(("x" * 58,)) == repr("x" * 58)
+    assert listing(("x" * 58 + "y",)) == f"'{'x' * 27}...{'x' * 27}y'"
 
 
 def uniform(labels):
@@ -270,10 +274,11 @@ def side_b_mismatch(labels, label):
     return joint_expectation(state, Observable(labels, dict.fromkeys(labels, 1)), obs_b)
 
 
-#: Every label lookup and basis check: the start of its error message, with
-#: ``{}`` for the label's repr, and ``call(labels, label)``, which looks
-#: ``label`` up in an object over ``labels``, or meets such an object with
-#: one over ``labels`` with its last label replaced by ``label``.
+#: Every label lookup and basis check, and the collapse that finds no mass on
+#: a support: the start of its error message, with ``{}`` for the label's
+#: repr, and ``call(labels, label)``, which looks ``label`` up in an object
+#: over ``labels``, or meets such an object with one over ``labels`` with its
+#: last label replaced by ``label``.
 ENTRY_POINTS = {
     "RatingTable.context_index": (
         "unknown context {}",
@@ -341,6 +346,12 @@ ENTRY_POINTS = {
         "basis mismatch in expectation: [",
         lambda ls, x: expectation(Observable(ls, dict.fromkeys(ls, 1)), uniform(other(ls, x))),
     ),
+    "collapse onto no mass": (
+        "cannot collapse: state has no amplitude on [",
+        lambda ls, x: collapse(
+            Projector(other(ls, x), frozenset(ls[:-1])), basis_state(other(ls, x), x)
+        ),
+    ),
     "joint_expectation side A": ("side A basis mismatch, observable vs state: [", side_a_mismatch),
     "joint_expectation side B": ("side B basis mismatch, observable vs state: [", side_b_mismatch),
 }
@@ -353,6 +364,9 @@ NO_UNHASHABLE_CASE |= {name for name, (start, _) in ENTRY_POINTS.items() if "{}"
 
 SMALL = ("a", "b", "c")
 BIG = tuple(f"e{i:04d}" for i in range(3000))
+LONG = "q" * 100_000
+#: How a message shows ``LONG``: the first 28 and last 29 characters of its repr.
+LONG_SHOWN = f"'{'q' * 27}...{'q' * 28}'"
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
@@ -372,6 +386,27 @@ def test_every_lookup_fails_with_one_short_value_error(name):
         call(BIG, "zz")
     assert str(err.value).startswith(prefix.format("'zz'"))
     assert "'e0000'" in str(err.value) and len(str(err.value)) < 1024
+    # So does a message naming a label of 100,000 characters.
+    with pytest.raises(ValueError) as err:
+        call(SMALL, LONG)
+    assert str(err.value).startswith(prefix.format(LONG_SHOWN))
+    assert len(str(err.value)) < 1024
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: distinct_labels((LONG, LONG), "exemplar"),
+        lambda: distinct_labels(("a", [LONG]), "exemplar"),
+        lambda: label_pair((LONG, "")),
+    ],
+    ids=["duplicate", "not a string", "pair"],
+)
+def test_a_refused_label_is_shown_short(call):
+    with pytest.raises(ValueError) as err:
+        call()
+    message = str(err.value)
+    assert "q...q" in message and "q" * 30 not in message and len(message) < 1024
 
 
 #: An exception type that a ``KeyError`` matches.

@@ -461,6 +461,16 @@ def test_bow_rejects_unknown_tokens(toy_matrix):
         bow_vector(("mary", "zebra"), toy_matrix.terms)
 
 
+def test_bow_names_an_unhashable_token(toy_matrix):
+    with pytest.raises(ValueError, match=r"tokens must be strings, got \['john'\]"):
+        bow_vector(("mary", ["john"]), toy_matrix.terms)
+
+
+def test_bow_names_a_token_that_is_no_string_among_unknown_ones(toy_matrix):
+    with pytest.raises(ValueError, match="tokens must be strings, got 1$"):
+        bow_vector(("mary", 1, "zebra"), toy_matrix.terms)
+
+
 @given(st.permutations(["mary", "hits", "john", "likes", "fish"]))
 def test_bow_is_permutation_invariant(perm):
     vocab = ("mary", "hits", "john", "likes", "fish", "chips")
