@@ -1,13 +1,15 @@
-"""Checked label sequences: the one label check, every label lookup, and the
-errors both give.
+"""Checked label sequences: the one label check, every label lookup, the
+errors both give, and the one way a message shows what it was given.
 
 ``distinct_labels`` checks labels once and returns them as ``Labels``, a
 tuple that knows each label's position. ``Labels`` are returned unchanged by
 a later check. Every label lookup in the package is ``Labels.index_of``, and
 every error that names known labels lists them by ``listing``: at most 20,
-then how many more, so a message stays short at any basis size. Each label
-an error names is shown by its repr, cut in the middle past 60 characters,
-so a message stays short at any label length too.
+then how many more, so a message stays short at any basis size. Every label
+or given value that an error or warning of the package shows (a file line, a
+flag, a JSON field, a number) is shown by ``shown``: its repr, cut in the
+middle past 60 characters, so a message stays short at any input size too.
+No other module formats a message by repr.
 ``same_labels`` is the one check that two objects share a basis, and
 ``label_pair`` the one check of a (left, right) pair.
 """
@@ -22,19 +24,19 @@ from typing import Iterable, Mapping, Sequence
 _LISTED = 20
 
 
-def _shown(label) -> str:
-    """The label's repr; one longer than 60 characters keeps its first 28 and
+def shown(value) -> str:
+    """The value's repr; one longer than 60 characters keeps its first 28 and
     last 29, joined by "..."."""
-    text = repr(label)
+    text = repr(value)
     return text if len(text) <= 60 else f"{text[:28]}...{text[-29:]}"
 
 
 def listing(labels: Sequence) -> str:
-    """The reprs of at most ``_LISTED`` labels, each by ``_shown``,
+    """The reprs of at most ``_LISTED`` labels, each by ``shown``,
     comma-separated, then how many are left out."""
-    shown = ", ".join(map(_shown, labels[:_LISTED]))
+    text = ", ".join(map(shown, labels[:_LISTED]))
     more = len(labels) - _LISTED
-    return f"{shown}, and {more} more" if more > 0 else shown
+    return f"{text}, and {more} more" if more > 0 else text
 
 
 class Labels(tuple):
@@ -60,7 +62,7 @@ class Labels(tuple):
             return self.positions[label]
         except (KeyError, TypeError):
             raise ValueError(
-                f"unknown {kind} {_shown(label)}; available {kind}s: {listing(self)}"
+                f"unknown {kind} {shown(label)}; available {kind}s: {listing(self)}"
             ) from None
 
     def __reduce__(self):
@@ -81,7 +83,7 @@ def label_pair(pair) -> tuple[str, str]:
         x, y = pair
         if isinstance(x, str) and x and isinstance(y, str) and y:
             return tuple(pair)  # a tuple itself, not a copy
-    raise ValueError(f"a pair must be two non-empty string labels, got {_shown(pair)}")
+    raise ValueError(f"a pair must be two non-empty string labels, got {shown(pair)}")
 
 
 def distinct_labels(labels: Iterable[str], kind: str) -> Labels:
@@ -106,9 +108,9 @@ def distinct_labels(labels: Iterable[str], kind: str) -> Labels:
         ok = False
     if not ok:
         bad = next(x for x in out if not isinstance(x, str) or not x)
-        raise ValueError(f"{kind} labels must be non-empty strings, got {_shown(bad)}")
+        raise ValueError(f"{kind} labels must be non-empty strings, got {shown(bad)}")
     if len(seen) != len(out):
         seen = set()
         dup = next(x for x in out if x in seen or seen.add(x))
-        raise ValueError(f"duplicate {kind} label: {_shown(dup)}")
+        raise ValueError(f"duplicate {kind} label: {shown(dup)}")
     return Labels(out)

@@ -11,6 +11,8 @@ tolerance and wherever else a number is given as a value.
 
 import math
 
+from ._labels import shown
+
 #: Rounding slack of a float sum of a few terms near 1 or 2: unit norms,
 #: probability ranges and sums, zero-mass and zero-norm cut-offs, and the
 #: classical (2) and Tsirelson (2*sqrt(2)) ceilings of float functional values.
@@ -50,7 +52,7 @@ def check_tolerance(tol: float) -> float:
     """``tol`` as a float; a ValueError unless it is a finite non-negative number."""
     value = as_number(tol)
     if value is None or not value >= 0.0:
-        raise ValueError(f"tolerance must be a non-negative number, got {tol!r}")
+        raise ValueError(f"tolerance must be a non-negative number, got {shown(tol)}")
     if value == math.inf:
-        raise ValueError(f"tolerance must be finite, got {value!r}")
+        raise ValueError(f"tolerance must be finite, got {shown(value)}")
     return value

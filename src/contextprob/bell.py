@@ -22,12 +22,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from ._labels import distinct_labels
+from ._labels import distinct_labels, shown
 from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, as_number, check_tolerance
 
 #: All eight sign placements: one minus among the four terms, up to a
@@ -47,7 +46,7 @@ def _expectations(values, where) -> tuple[float, ...]:
     for value in values:
         v = as_number(value)
         if v is None or not -1.0 <= v <= 1.0:
-            raise ValueError(f"expectation out of range at {where(len(checked))}: {value!r}")
+            raise ValueError(f"expectation out of range at {where(len(checked))}: {shown(value)}")
         checked.append(v)
     return tuple(checked)
 
@@ -72,8 +71,8 @@ class CorrelationTable:
         rows = _context_pair(self.row_contexts, "row")
         cols = _context_pair(self.col_contexts, "col")
         joint = _joint_grid(self.joint, rows, cols)
-        singles_a = _singles(self.singles_a, rows)
-        singles_b = _singles(self.singles_b, cols)
+        singles_a = _singles(self.singles_a, rows, "singles_a")
+        singles_b = _singles(self.singles_b, cols, "singles_b")
         if (singles_a is None) != (singles_b is None):
             raise ValueError("singles must be given for both sides or neither")
         object.__setattr__(self, "row_contexts", rows)
@@ -143,31 +142,32 @@ def _joint_grid(joint, rows, cols) -> tuple[tuple[float, float], tuple[float, fl
     except (TypeError, ValueError):
         e00 = e01 = e10 = e11 = ()  # has a length: reported as the shape below
     if any(hasattr(v, "__len__") for v in (e00, e01, e10, e11)):
-        raise ValueError(f"joint expectations must be 2x2, got {reprlib.repr(joint)}")
+        raise ValueError(f"joint expectations must be 2x2, got {shown(joint)}")
     e00, e01, e10, e11 = _expectations(
-        (e00, e01, e10, e11), lambda k: f"({rows[k // 2]!r}, {cols[k % 2]!r})"
+        (e00, e01, e10, e11), lambda k: f"({shown(rows[k // 2])}, {shown(cols[k % 2])})"
     )
     return (e00, e01), (e10, e11)
 
 
 def _context_pair(labels, kind: str) -> tuple[str, str]:
-    if isinstance(labels, str):  # a string is no list of labels
-        raise ValueError(f"{kind}_contexts must be a list of two labels, got {labels!r}")
+    if isinstance(labels, str) or not hasattr(labels, "__len__"):  # no list of labels
+        raise ValueError(f"{kind}_contexts must be a list of two labels, got {shown(labels)}")
     pair = tuple(labels)
     if len(pair) != 2:
-        raise ValueError(f"need exactly two {kind} context labels, got {labels!r}")
+        raise ValueError(f"need exactly two {kind} context labels, got {shown(labels)}")
     if pair[0] == pair[1]:
-        raise ValueError(f"{kind} context labels must differ, got {pair[0]!r} twice")
+        raise ValueError(f"{kind} context labels must differ, got {shown(pair[0])} twice")
     return distinct_labels(pair, f"{kind} context")
 
 
-def _singles(values, contexts) -> tuple[float, float] | None:
+def _singles(values, contexts, field: str) -> tuple[float, float] | None:
     if values is None:
         return None
-    vals = tuple(values)
-    if len(vals) != 2:
-        raise ValueError(f"need exactly two single-side expectations, got {values!r}")
-    return _expectations(vals, lambda k: f"single ({contexts[k]!r})")
+    if isinstance(values, str) or not hasattr(values, "__len__"):  # no list of numbers
+        raise ValueError(f"{field} must be a list of two numbers, got {shown(values)}")
+    if len(values) != 2:
+        raise ValueError(f"need exactly two single-side expectations, got {shown(values)}")
+    return _expectations(values, lambda k: f"single ({shown(contexts[k])})")
 
 
 def bell_value(table: CorrelationTable) -> float:
@@ -191,7 +191,7 @@ def is_violated(value: float) -> bool:
     by more than ``DEFAULT_TOL``; a ValueError when it is no number."""
     v = as_number(value)
     if v is None:
-        raise ValueError(f"functional value must be a number, got {value!r}")
+        raise ValueError(f"functional value must be a number, got {shown(value)}")
     return v > 2.0 + DEFAULT_TOL
 
 
@@ -253,9 +253,9 @@ def _mixing_probability(value) -> float:
     """``value`` as a float in [0, 1]: the rule for every mixing probability."""
     p = as_number(value)
     if p is None:
-        raise ValueError(f"odd_event_probability must be a number, got {value!r}")
+        raise ValueError(f"odd_event_probability must be a number, got {shown(value)}")
     if not 0.0 <= p <= 1.0:  # refuses nan too
-        raise ValueError(f"mixing probability must lie in [0, 1], got {p!r}")
+        raise ValueError(f"mixing probability must lie in [0, 1], got {shown(p)}")
     return p
 
 
@@ -338,8 +338,8 @@ def load_scenario(path: str | Path) -> CorrelationTable:
             data.get("row_contexts", ("row-0", "row-1")),
             data.get("col_contexts", ("col-0", "col-1")),
             data["joint"],
-            singles_a=tuple(data["singles_a"]) if "singles_a" in data else None,
-            singles_b=tuple(data["singles_b"]) if "singles_b" in data else None,
+            singles_a=data.get("singles_a"),
+            singles_b=data.get("singles_b"),
         )
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from ._labels import listing
+from ._labels import listing, shown
 from ._tolerance import DEFAULT_TOL, GRID_SLACK, RESIDUAL_TOL, WEIGHT_CUTOFF, check_tolerance
 
 if TYPE_CHECKING:
@@ -46,7 +46,7 @@ def _resolve_context(table: concepts.RatingTable, query: str) -> str:
     if query not in table.contexts.positions:
         hits = [c for c in table.contexts if query.lower() in c.lower()]
         if len(hits) > 1:
-            raise ValueError(f"context {query!r} is ambiguous; matches: {listing(hits)}")
+            raise ValueError(f"context {shown(query)} is ambiguous; matches: {listing(hits)}")
         if hits:
             return hits[0]
     return table.contexts[table.context_index(query)]
@@ -121,13 +121,13 @@ def _cmd_bell(args):
 def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid must be start:stop:step, got {text!r}")
+        raise ValueError(f"grid must be start:stop:step, got {shown(text)}")
     try:
         start, stop, step = (float(x) for x in parts)
     except ValueError:
-        raise ValueError(f"grid values must be numbers, got {text!r}") from None
+        raise ValueError(f"grid values must be numbers, got {shown(text)}") from None
     if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ValueError(f"grid values must be finite, got {text!r}")
+        raise ValueError(f"grid values must be finite, got {shown(text)}")
     if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
         raise ValueError(f"grid range [{start}, {stop}] exceeds [0, 1]")
     if stop < start:
@@ -138,7 +138,7 @@ def _parse_grid(text: str) -> list[float]:
     bound = stop + GRID_SLACK
     span = (bound - start) / step
     if span >= MAX_GRID_POINTS:
-        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        raise ValueError(f"grid {shown(text)} has more than {MAX_GRID_POINTS} points")
     # start + k * step for k = 0, 1, ... while within the slack, clipped at 1;
     # the values rise with k, so those within are a prefix.
     n = int(span) + 2

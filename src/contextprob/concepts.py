@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._labels import Labels, distinct_labels
+from ._labels import Labels, distinct_labels, shown
 from ._tolerance import DEFAULT_TOL
 from .hilbert import StateVector
 
@@ -52,14 +52,14 @@ class RatingTable:
         if bad.size:
             i, j = bad[0]
             raise ValueError(
-                f"negative rating at ({exemplars[i]!r}, {contexts[j]!r}): "
-                f"{ratings[i, j]!r}"
+                f"negative rating at ({shown(exemplars[i])}, {shown(contexts[j])}): "
+                f"{shown(ratings.item(i, j))}"
             )
         # The column maximum, not the sum: finite ratings can sum past the
         # float range, and max > 0 is the same test for non-negative values.
         dead = np.flatnonzero(ratings.max(axis=0) <= 0)
         if dead.size:
-            raise ValueError(f"context column has no mass: {contexts[dead[0]]!r}")
+            raise ValueError(f"context column has no mass: {shown(contexts[dead[0]])}")
         ratings.flags.writeable = False
         object.__setattr__(self, "exemplars", exemplars)
         object.__setattr__(self, "contexts", contexts)
@@ -116,11 +116,11 @@ class ContextDistribution:
         bad = np.flatnonzero(~((p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)))
         if bad.size:
             i = bad[0]
-            raise ValueError(f"probability for {labels[i]!r} out of range: {float(p[i])!r}")
+            raise ValueError(f"probability for {shown(labels[i])} out of range: {shown(p.item(i))}")
         probs = np.clip(p, 0.0, 1.0, out=p).tolist()
         total = sum(probs)
         if abs(total - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
+            raise ValueError(f"probabilities sum to {shown(total)}, expected 1")
         object.__setattr__(self, "probabilities", dict(zip(labels, probs)))
         object.__setattr__(self, "_exemplars", labels)
         object.__setattr__(self, "_probs", probs)
@@ -164,17 +164,18 @@ def parse_ratings(text: str) -> RatingTable:
                 v = float(cell)
             except ValueError:
                 raise ValueError(
-                    f"line {lineno}: rating at ({exemplar!r}, {contexts[j]!r}) "
-                    f"is not a number: {cell.strip()!r}"
+                    f"line {lineno}: rating at ({shown(exemplar)}, {shown(contexts[j])}) "
+                    f"is not a number: {shown(cell.strip())}"
                 ) from None
             if v < 0:
                 raise ValueError(
-                    f"line {lineno}: negative rating at ({exemplar!r}, {contexts[j]!r}): {v!r}"
+                    f"line {lineno}: negative rating at ({shown(exemplar)}, "
+                    f"{shown(contexts[j])}): {shown(v)}"
                 )
             if not math.isfinite(v):
                 raise ValueError(
-                    f"line {lineno}: rating at ({exemplar!r}, {contexts[j]!r}) "
-                    f"is not finite: {cell.strip()!r}"
+                    f"line {lineno}: rating at ({shown(exemplar)}, {shown(contexts[j])}) "
+                    f"is not finite: {shown(cell.strip())}"
                 )
             row.append(v)
         exemplars.append(exemplar)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._labels import Labels, distinct_labels, label_pair, listing, same_labels
+from ._labels import Labels, distinct_labels, label_pair, listing, same_labels, shown
 from ._tolerance import DEFAULT_TOL
 from .concepts import ContextDistribution
 from .hilbert import Observable
@@ -42,7 +42,7 @@ class CompatibilityRelation:
         if len(set(pairs)) != len(pairs):
             seen: set[tuple[str, str]] = set()
             dup = next(p for p in pairs if p in seen or seen.add(p))
-            raise ValueError(f"duplicate pair in relation: {dup!r}")
+            raise ValueError(f"duplicate pair in relation: {shown(dup)}")
         object.__setattr__(self, "pairs", pairs)
 
     @cached_property
@@ -76,7 +76,7 @@ def parse_relation(text: str) -> CompatibilityRelation:
         fields = [f.strip() for f in raw.split("\t")]
         if len(fields) != 2 or not all(fields):
             raise ValueError(
-                f"line {lineno}: expected two tab-separated labels, got {line!r}"
+                f"line {lineno}: expected two tab-separated labels, got {shown(line)}"
             )
         pairs.append((fields[0], fields[1]))
     if not pairs:
@@ -139,7 +139,7 @@ class EntangledState:
         probs = np.abs(amps) ** 2
         norm_sq = float(np.sum(probs))
         if not abs(norm_sq - 1.0) <= DEFAULT_TOL:  # also refuses NaN
-            raise ValueError(f"joint state is not normalized: squared norm {norm_sq!r}")
+            raise ValueError(f"joint state is not normalized: squared norm {shown(norm_sq)}")
         for arr in (rows, cols, amps, probs):
             arr.flags.writeable = False
         fields = {
@@ -258,7 +258,7 @@ def _side(state: EntangledState, side: str) -> tuple[Labels, np.ndarray]:
         return state.basis_a, state._rows
     if side == "B":
         return state.basis_b, state._cols
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    raise ValueError(f"side must be 'A' or 'B', got {shown(side)}")
 
 
 def marginal(state: EntangledState, side: str) -> ContextDistribution:
@@ -275,7 +275,7 @@ def conditional_collapse(state: EntangledState, side: str, exemplar: str) -> Ent
     mass = float(np.sum(state._probs[kept]))
     if mass <= DEFAULT_TOL:
         raise ValueError(
-            f"cannot collapse side {side} to {exemplar!r}: its marginal probability is zero"
+            f"cannot collapse side {side} to {shown(exemplar)}: its marginal probability is zero"
         )
     return EntangledState._from_arrays(
         state.basis_a,

@@ -3,6 +3,8 @@
 from importlib import resources
 from pathlib import Path
 
+from .._labels import listing, shown
+
 _NAMES = (
     "pet_context_ratings.tsv",
     "petfish_pet_ratings.tsv",
@@ -22,7 +24,5 @@ def fixture_names() -> tuple[str, ...]:
 def fixture_path(name: str) -> Path:
     """Filesystem path of a shipped fixture file."""
     if name not in _NAMES:
-        raise ValueError(
-            f"unknown fixture {name!r}; shipped fixtures: {', '.join(_NAMES)}"
-        )
+        raise ValueError(f"unknown fixture {shown(name)}; shipped fixtures: {listing(_NAMES)}")
     return Path(str(resources.files(__package__).joinpath(name)))

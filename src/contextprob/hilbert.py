@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ._labels import distinct_labels, listing, same_labels
+from ._labels import distinct_labels, listing, same_labels, shown
 from ._tolerance import DEFAULT_TOL
 
 if TYPE_CHECKING:
@@ -41,7 +41,7 @@ class StateVector:
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm_sq - 1.0) <= DEFAULT_TOL:  # also refuses NaN
-            raise ValueError(f"state is not normalized: squared norm {norm_sq!r}")
+            raise ValueError(f"state is not normalized: squared norm {shown(norm_sq)}")
         amps.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "amplitudes", amps)
@@ -101,8 +101,8 @@ class Observable:
                 f"missing [{listing(missing)}], stray [{listing(stray)}]"
             )
         for label, s in signs.items():
-            if s not in (1, -1):
-                raise ValueError(f"sign for {label!r} must be +1 or -1, got {s!r}")
+            if isinstance(s, bool) or s not in (1, -1):  # a bool is no number
+                raise ValueError(f"sign for {shown(label)} must be +1 or -1, got {shown(s)}")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "signs", signs)
 
@@ -148,7 +148,7 @@ def normalize(basis: Sequence[str], amplitudes: Sequence[complex]) -> StateVecto
     if not DEFAULT_TOL < norm < math.inf:
         if norm <= DEFAULT_TOL:
             raise ValueError("cannot normalize an all-zero amplitude vector")
-        raise ValueError(f"cannot normalize an amplitude vector whose norm is {norm!r}")
+        raise ValueError(f"cannot normalize an amplitude vector whose norm is {shown(norm)}")
     return StateVector(b, amps / norm)
 
 

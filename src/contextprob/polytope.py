@@ -27,6 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 
+from ._labels import shown
 from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, check_tolerance
 from .bell import CorrelationTable, CHSH_FORMS, bell_value_all_forms
 
@@ -48,8 +49,8 @@ class DeterministicStrategy:
 
     def __post_init__(self) -> None:
         for v in (*self.row_outcomes, *self.col_outcomes):
-            if v not in (1, -1):
-                raise ValueError(f"strategy outcomes must be +1 or -1, got {v!r}")
+            if isinstance(v, bool) or v not in (1, -1):  # a bool is no number
+                raise ValueError(f"strategy outcomes must be +1 or -1, got {shown(v)}")
 
     def joint_products(self) -> tuple[int, int, int, int]:
         """Products row_i * col_j in row-major order."""
@@ -139,8 +140,8 @@ def realizable(table: CorrelationTable, tol: float = RESIDUAL_TOL) -> Realizabil
     )
     if residual > tol:
         raise ValueError(
-            f"mixture weights reproduce the table only to {residual!r}, "
-            f"above the tolerance {tol!r}"
+            f"mixture weights reproduce the table only to {shown(residual)}, "
+            f"above the tolerance {shown(tol)}"
         )
     return RealizabilityResult(True, tuple(weights), None, residual)
 
@@ -183,7 +184,7 @@ def _witness(table: CorrelationTable) -> tuple[Witness, float] | None:
             kind="bell-form",
             value=value,
             bound=2.0,
-            description=f"{terms} = {value!r} > 2 (by {-slack!r})",
+            description=f"{terms} = {shown(value)} > 2 (by {shown(-slack)})",
             signs=signs,
         )
         return witness, slack
@@ -196,8 +197,8 @@ def _witness(table: CorrelationTable) -> tuple[Witness, float] | None:
             value=q,
             bound=0.0,
             description=(
-                f"p(row={sa:+d}, col={sb:+d} | {table.row_contexts[i]!r}, "
-                f"{table.col_contexts[j]!r}) = {q!r} < 0"
+                f"p(row={sa:+d}, col={sb:+d} | {shown(table.row_contexts[i])}, "
+                f"{shown(table.col_contexts[j])}) = {shown(q)} < 0"
             ),
         )
         return witness, q

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._labels import Labels, distinct_labels, listing
+from ._labels import Labels, distinct_labels, listing, shown
 from ._tolerance import DEFAULT_TOL
 
 DEFAULT_ORDER_BUDGET = 1_000_000
@@ -149,7 +149,7 @@ def build_matrix(corpus: Sequence[tuple[str, Sequence[str]]]) -> TermDocMatrix:
         for tok in tokens:
             if not isinstance(tok, str) or not tok:
                 raise ValueError(
-                    f"document {label!r} contains a non-string or empty token: {tok!r}"
+                    f"document {shown(label)} contains a non-string or empty token: {shown(tok)}"
                 )
             rows.append(vocab.setdefault(tok, len(vocab)))
         lengths.append(len(rows) - start)
@@ -193,9 +193,9 @@ def svd_truncate(matrix: TermDocMatrix, k: int) -> SemanticSpace:
     exceeds the optimum by at most 6e-14 of it.
     """
     max_k = min(len(matrix.terms), len(matrix.docs))
-    if not 1 <= int(k) <= max_k:
-        raise ValueError(f"rank must be between 1 and {max_k}, got {k!r}")
-    k = int(k)
+    k = int(k)  # a Python int, so the message below reads the same under any numpy
+    if not 1 <= k <= max_k:
+        raise ValueError(f"rank must be between 1 and {max_k}, got {shown(k)}")
     counts = matrix.counts.astype(float)
     factors = _gram_factors(counts, k) if k <= GRAM_MAX_RANK_FRACTION * max_k else None
     if factors is None:
@@ -238,7 +238,7 @@ def similarity(space: SemanticSpace, term1: str, term2: str) -> float:
     if n1 <= DEFAULT_TOL or n2 <= DEFAULT_TOL:
         dead = term1 if n1 <= DEFAULT_TOL else term2
         warnings.warn(
-            f"term {dead!r} has a zero word vector at rank {space.rank}; "
+            f"term {shown(dead)} has a zero word vector at rank {space.rank}; "
             "similarity defined as 0",
             stacklevel=2,
         )

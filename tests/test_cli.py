@@ -461,6 +461,23 @@ def test_a_string_of_row_contexts_is_an_error_line(capsys, tmp_path, monkeypatch
     assert err == "error: s.json: row_contexts must be a list of two labels, got 'ab'\n"
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"singles_a": 5, "singles_b": [0, 0]}, "singles_a must be a list of two numbers, got 5"),
+        ({"singles_a": [0, 0], "singles_b": True}, "singles_b must be a list of two numbers, got True"),
+        ({"row_contexts": None}, "row_contexts must be a list of two labels, got None"),
+        ({"col_contexts": 7}, "col_contexts must be a list of two labels, got 7"),
+    ],
+    ids=["int-singles", "bool-singles", "null-contexts", "int-contexts"],
+)
+def test_a_wrong_typed_scenario_field_is_named(capsys, tmp_path, monkeypatch, fields, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps({"joint": [[0, 0], [0, 0]], **fields}))
+    code, out, err = run(capsys, ["kolmo", "--scenario", "s.json"])
+    assert (code, out, err) == (1, "", f"error: s.json: {message}\n")
+
+
 @pytest.mark.parametrize("value", [True, "0.5"], ids=["true", "text"])
 def test_an_odd_event_probability_that_is_no_number_is_an_error_line(
     capsys, tmp_path, monkeypatch, value
@@ -520,6 +537,56 @@ def test_malformed_scenario_joint_is_an_error_line(
     (tmp_path / "j.json").write_text(json.dumps({"joint": joint}))
     code, out, err = run(capsys, ["kolmo", "--scenario", "j.json"])
     assert (code, out, err) == (1, "", f"error: j.json: {message}\n")
+
+
+LONG = "q" * 100_000
+
+#: Inputs that name a 100,000-character value: each file's name and text, and
+#: the command line that reads it.
+LONG_INPUTS = {
+    "row contexts twice": (
+        "s.json", json.dumps({"row_contexts": [LONG, LONG], "joint": [[0, 0], [0, 0]]}),
+        ["bell", "--scenario", "s.json"],
+    ),
+    "row contexts a string": (
+        "s.json", json.dumps({"row_contexts": LONG, "joint": [[0, 0], [0, 0]]}),
+        ["bell", "--scenario", "s.json"],
+    ),
+    "single a string": (
+        "s.json",
+        json.dumps({"joint": [[0, 0], [0, 0]], "singles_a": [LONG, 0], "singles_b": [0, 0]}),
+        ["kolmo", "--scenario", "s.json"],
+    ),
+    "50,000 singles": (
+        "s.json",
+        json.dumps({"joint": [[0, 0], [0, 0]], "singles_a": [0] * 50_000, "singles_b": [0, 0]}),
+        ["kolmo", "--scenario", "s.json"],
+    ),
+    "odd event a string": (
+        "s.json", json.dumps({"odd_event_probability": LONG}), ["bell", "--scenario", "s.json"],
+    ),
+    "negative rating": (
+        "r.tsv", f"exemplar\tc\n{LONG}\t-1\n", ["ratings", "r.tsv", "--context", "c"],
+    ),
+    "rating a string": (
+        "r.tsv", f"exemplar\tc\nx\t{LONG}\n", ["ratings", "r.tsv", "--context", "c"],
+    ),
+    "relation line": ("p.tsv", f"{LONG}\n", guppy_argv(relation="p.tsv")),
+    "relation pair twice": ("p.tsv", f"{LONG}\t{LONG}\n" * 2, guppy_argv(relation="p.tsv")),
+    "grid": (None, None, ["sweep", "--grid", LONG]),
+}
+
+
+@pytest.mark.parametrize("name", LONG_INPUTS)
+def test_a_long_input_gives_one_short_error_line(capsys, tmp_path, monkeypatch, name):
+    filename, text, argv = LONG_INPUTS[name]
+    monkeypatch.chdir(tmp_path)
+    if filename:
+        (tmp_path / filename).write_text(text)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 1024 and "..." in err  # the value is shown cut
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])

@@ -60,6 +60,13 @@ def test_parse_non_finite_cell_cites_coordinates(cell):
         parse_ratings(text)
 
 
+def test_a_negative_rating_is_shown_as_a_python_float():
+    # Not np.float64(-1.0), numpy 2's repr: the message reads the same under any numpy.
+    with pytest.raises(ValueError) as err:
+        RatingTable(("a", "b"), ("c",), [[-1.0], [1.0]])
+    assert str(err.value) == "negative rating at ('a', 'c'): -1.0"
+
+
 def test_parse_minus_infinity_is_a_negative_rating():
     with pytest.raises(ValueError, match=r"line 2: negative rating at \('ant', 'c1'\): -inf"):
         parse_ratings("exemplar\tc1\nant\t-inf\n")

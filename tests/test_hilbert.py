@@ -178,6 +178,9 @@ def test_observable_signs_must_cover_basis():
         Observable(AB, {"alpha": 1})
     with pytest.raises(ValueError, match="must be \\+1 or -1"):
         Observable(AB, {"alpha": 1, "beta": 0})
+    # True == 1, but a bool is no number (``_tolerance.as_number``'s rule).
+    with pytest.raises(ValueError, match=r"^sign for 'alpha' must be \+1 or -1, got True$"):
+        Observable(AB, {"alpha": True, "beta": 1})
 
 
 def test_observable_names_stray_labels_of_mixed_types():

@@ -467,3 +467,72 @@ def test_only_labels_turns_a_missed_lookup_into_an_error():
     hits = [h for p in sources for h in positions_key_error_catches(p.read_text("utf-8"), p.name)]
     assert set(hits) == MAPPING_CONTRACT
     assert positions_key_error_catches((PACKAGE / "_labels.py").read_text("utf-8"), "_labels.py")
+
+
+# ------------------------------------------------ one way to show an input
+
+
+#: Output sites that print a value by its repr on purpose, not in a message:
+#: the TSV number columns, a mapping's own repr and Python's attribute error.
+REPR_OUTPUTS = {
+    "cli._cmd_ratings",
+    "cli._cmd_sweep",
+    "entangle._PairAmplitudes.__repr__",
+    "__init__.__getattr__",
+}
+
+
+def formats_by_repr(node):
+    """Whether ``node`` is an ``!r`` conversion, a ``repr(...)`` call, or a
+    use or import of ``reprlib``."""
+    if isinstance(node, ast.FormattedValue):
+        return node.conversion == ord("r")
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "repr"
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return "reprlib" in {getattr(node, "module", None), *(a.name for a in node.names)}
+    return isinstance(node, ast.Name) and node.id == "reprlib"
+
+
+def repr_sites(source, name):
+    """The scopes, as ``module.Class.function``, that format by repr."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if formats_by_repr(child):
+                found.add(".".join([name, *scope]))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_only_labels_shows_an_input_by_its_repr():
+    # The scan does find each way of formatting by repr that this rule replaced.
+    old = (
+        "import reprlib\n"
+        "def f(x):\n"
+        "    raise ValueError(f'got {x!r}')\n"
+        "class T:\n"
+        "    def g(self, x):\n"
+        "        return 'got ' + repr(x)\n"
+        "    def h(self, x):\n"
+        "        return reprlib.repr(x)\n"
+    )
+    assert repr_sites(old, "old") == {"old", "old.f", "old.T.g", "old.T.h"}
+    assert repr_sites("from reprlib import repr as r\n", "old") == {"old"}
+    sources = sorted(p for p in PACKAGE.glob("*.py") if p.name != "_labels.py")
+    sources.append(PACKAGE / "fixtures" / "__init__.py")
+    assert len(sources) >= 11
+    hits = set()
+    for path in sources:
+        name = "fixtures" if path.parent.name == "fixtures" else path.stem
+        hits |= repr_sites(path.read_text("utf-8"), name)
+    assert hits == REPR_OUTPUTS
+    planted = (PACKAGE / "bell.py").read_text("utf-8").replace("{shown(value)}", "{value!r}", 1)
+    assert repr_sites(planted, "bell") == {"bell._expectations"}
+    assert repr_sites((PACKAGE / "_labels.py").read_text("utf-8"), "_labels") == {"_labels.shown"}

@@ -14,6 +14,7 @@ from contextprob.bell import CHSH_FORMS, CorrelationTable, bell_value_all_forms
 from contextprob.cli import main
 from contextprob.polytope import (
     CLASSICAL,
+    DeterministicStrategy,
     QUANTUM_ACHIEVABLE,
     SUPRA_QUANTUM,
     TSIRELSON_BOUND,
@@ -97,6 +98,12 @@ def test_strategy_products_are_signs():
             s.row_outcomes[1] * s.col_outcomes[0],
             s.row_outcomes[1] * s.col_outcomes[1],
         )
+
+
+def test_a_strategy_refuses_a_bool_outcome():
+    # True == 1, but a bool is no number (``_tolerance.as_number``'s rule).
+    with pytest.raises(ValueError, match=r"^strategy outcomes must be \+1 or -1, got True$"):
+        DeterministicStrategy((True, 1), (1, -1))
 
 
 def test_all_plus_strategy_is_present():

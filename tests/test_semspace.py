@@ -391,6 +391,10 @@ def test_rank_out_of_range(toy_matrix):
         svd_truncate(toy_matrix, 0)
     with pytest.raises(ValueError, match="rank must be between 1 and"):
         svd_truncate(toy_matrix, 99)
+    # A numpy rank is shown as a Python int, not numpy 2's np.int64(9).
+    with pytest.raises(ValueError) as err:
+        svd_truncate(toy_matrix, np.int64(9))
+    assert str(err.value) == "rank must be between 1 and 5, got 9"
 
 
 # ----------------------------------------------------------------- similarity
