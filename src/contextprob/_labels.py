@@ -9,6 +9,8 @@ then how many more, so a message stays short at any basis size. Every label
 or given value that an error or warning of the package shows (a file line, a
 flag, a JSON field, a number) is shown by ``shown``: its repr, cut in the
 middle past 60 characters, so a message stays short at any input size too.
+A numpy scalar is shown as the Python value it holds, so a message reads
+the same under numpy 1 and 2.
 No other module formats a message by repr.
 ``same_labels`` is the one check that two objects share a basis, and
 ``label_pair`` the one check of a (left, right) pair.
@@ -16,6 +18,7 @@ No other module formats a message by repr.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -26,7 +29,11 @@ _LISTED = 20
 
 def shown(value) -> str:
     """The value's repr; one longer than 60 characters keeps its first 28 and
-    last 29, joined by "..."."""
+    last 29, joined by "...". A numpy scalar is shown by its ``item()``.
+    """
+    np = sys.modules.get("numpy")  # no numpy scalar exists before it loads
+    if np is not None and isinstance(value, np.generic):
+        value = value.item()
     text = repr(value)
     return text if len(text) <= 60 else f"{text[:28]}...{text[-29:]}"
 

@@ -1,12 +1,13 @@
 """The one tolerance policy: every float tolerance in the package, named once.
 
 Each module reads its tolerances from here rather than spelling a literal.
-Only ``RESIDUAL_TOL`` can be overridden, by ``realizable(tol)``,
-``product_equality_check(tol)`` and the CLI's two ``--tolerance`` flags,
-which all check the value through ``check_tolerance``; the others are
-fixed. Exact decisions (the CHSH and positivity facets) take no tolerance
-at all. ``as_number`` is the one rule for what counts as a number, for a
-tolerance and wherever else a number is given as a value.
+Only ``RESIDUAL_TOL`` can be overridden, and only where it changes a
+verdict: by ``product_equality_check(tol)`` and ``bell --tolerance``, which
+both check the value through ``check_tolerance``. Everything else is fixed,
+``realizable``'s bound on the residual of its closed-form weights too.
+Exact decisions (the CHSH and positivity facets) take no tolerance at all.
+``as_number`` is the one rule for what counts as a number, for a tolerance
+and wherever else a number is given as a value.
 """
 
 import math

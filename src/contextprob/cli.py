@@ -250,7 +250,7 @@ def _cmd_kolmo(args):
     from . import bell, polytope
 
     table, inputs = _load_table(args)
-    result = polytope.realizable(table, tol=args.tolerance)
+    result = polytope.realizable(table)
     weights = None
     if result.feasible:
         weights = [
@@ -371,13 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("kolmo", "decide classical realizability of a scenario", _cmd_kolmo)
     _add_scenario_flags(sp)
-    sp.add_argument(
-        "--tolerance",
-        type=float,
-        default=RESIDUAL_TOL,
-        help="largest sup-norm residual allowed for the mixture weights of a "
-        "classical table (default %(default)s); the decision itself is exact",
-    )
 
     return parser
 

@@ -53,7 +53,7 @@ class RatingTable:
             i, j = bad[0]
             raise ValueError(
                 f"negative rating at ({shown(exemplars[i])}, {shown(contexts[j])}): "
-                f"{shown(ratings.item(i, j))}"
+                f"{shown(ratings[i, j])}"
             )
         # The column maximum, not the sum: finite ratings can sum past the
         # float range, and max > 0 is the same test for non-negative values.
@@ -116,7 +116,7 @@ class ContextDistribution:
         bad = np.flatnonzero(~((p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)))
         if bad.size:
             i = bad[0]
-            raise ValueError(f"probability for {shown(labels[i])} out of range: {shown(p.item(i))}")
+            raise ValueError(f"probability for {shown(labels[i])} out of range: {shown(p[i])}")
         probs = np.clip(p, 0.0, 1.0, out=p).tolist()
         total = sum(probs)
         if abs(total - 1.0) > DEFAULT_TOL:

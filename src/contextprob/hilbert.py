@@ -103,6 +103,7 @@ class Observable:
         for label, s in signs.items():
             if isinstance(s, bool) or s not in (1, -1):  # a bool is no number
                 raise ValueError(f"sign for {shown(label)} must be +1 or -1, got {shown(s)}")
+            signs[label] = 1 if s == 1 else -1  # a Python int, whatever type was given
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "signs", signs)
 

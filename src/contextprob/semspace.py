@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._labels import Labels, distinct_labels, listing, shown
-from ._tolerance import DEFAULT_TOL
+from ._tolerance import DEFAULT_TOL, as_number
 
 DEFAULT_ORDER_BUDGET = 1_000_000
 
@@ -37,6 +37,21 @@ GRAM_RELATIVE_FLOOR = 1e-4
 GRAM_MAX_RANK_FRACTION = 0.4
 
 
+def _integral(value) -> int | None:
+    """``value`` as an int when it is an integral number by
+    ``_tolerance.as_number``'s rule (so neither text nor a bool), else None."""
+    v = as_number(value)
+    return int(v) if v is not None and v.is_integer() else None
+
+
+def _rank(value, max_k: int) -> int:
+    """``value`` as an int from 1 to ``max_k``; a ValueError showing it otherwise."""
+    k = _integral(value)
+    if k is None or not 1 <= k <= max_k:
+        raise ValueError(f"rank must be between 1 and {max_k}, got {shown(value)}")
+    return k
+
+
 @dataclass(frozen=True, eq=False)
 class TermDocMatrix:
     """Raw occurrence counts, terms along rows and documents along columns."""
@@ -48,12 +63,23 @@ class TermDocMatrix:
     def __post_init__(self) -> None:
         terms = distinct_labels(self.terms, "term")
         docs = distinct_labels(self.docs, "document")
-        counts = np.array(self.counts, dtype=np.int64)
-        if counts.shape != (len(terms), len(docs)):
+        given = self.counts
+        if not isinstance(given, np.ndarray):  # each cell as given: no promotion
+            given = np.array(given, dtype=object)
+        if given.shape != (len(terms), len(docs)):
             raise ValueError(
-                f"counts shape {counts.shape} does not match "
+                f"counts shape {given.shape} does not match "
                 f"{len(terms)} terms x {len(docs)} documents"
             )
+        if given.dtype.kind not in "iu":  # an integer array needs no pass
+            cells = ((i, j, v) for i, row in enumerate(given.tolist()) for j, v in enumerate(row))
+            for i, j, v in cells:
+                if _integral(v) is None:
+                    raise ValueError(
+                        f"count at ({shown(terms[i])}, {shown(docs[j])}) is not an integer: "
+                        f"{shown(v)}"
+                    )
+        counts = np.array(given, dtype=np.int64)
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
         if not np.any(counts):
@@ -79,13 +105,13 @@ class SemanticSpace:
     doc_vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        k = int(self.rank)
         terms = distinct_labels(self.terms, "term")
         docs = distinct_labels(self.docs, "document")
+        k = _rank(self.rank, min(len(terms), len(docs)))
         sv = np.array(self.singular_values, dtype=float)
         wv = np.array(self.word_vectors, dtype=float)
         dv = np.array(self.doc_vectors, dtype=float)
-        if k < 1 or sv.shape != (k,):
+        if sv.shape != (k,):
             raise ValueError(f"expected {k} singular values, got shape {sv.shape}")
         if np.any(sv < 0) or np.any(np.diff(sv) > 0):
             raise ValueError("singular values must be nonnegative and nonincreasing")
@@ -193,9 +219,7 @@ def svd_truncate(matrix: TermDocMatrix, k: int) -> SemanticSpace:
     exceeds the optimum by at most 6e-14 of it.
     """
     max_k = min(len(matrix.terms), len(matrix.docs))
-    k = int(k)  # a Python int, so the message below reads the same under any numpy
-    if not 1 <= k <= max_k:
-        raise ValueError(f"rank must be between 1 and {max_k}, got {shown(k)}")
+    k = _rank(k, max_k)
     counts = matrix.counts.astype(float)
     factors = _gram_factors(counts, k) if k <= GRAM_MAX_RANK_FRACTION * max_k else None
     if factors is None:

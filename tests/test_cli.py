@@ -384,13 +384,16 @@ def test_kolmo_rejects_the_perfect_correlation_scenario(capsys):
     assert witness["bound"] == 2.0
 
 
-def test_kolmo_rejects_a_negative_tolerance(capsys):
-    code, _, err = run(capsys, ["kolmo", "--odd-event", "1", "--tolerance", "-1"])
-    assert code == 1
-    assert err.startswith("error: tolerance must be a non-negative number")
+def test_kolmo_has_no_tolerance_flag(capsys):
+    # The decision is exact and the weights closed form: no setting changes
+    # the report, so the flag is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["kolmo", "--odd-event", "1", "--tolerance", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance 1e-9" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["bell", "kolmo"])
+@pytest.mark.parametrize("command", ["bell"])
 @pytest.mark.parametrize("tol", ["-1", "nan"])
 def test_both_tolerance_flags_are_checked_alike(capsys, command, tol):
     # With singles (the pet-food table) and without (the Tsirelson pattern).
@@ -489,7 +492,7 @@ def test_an_odd_event_probability_that_is_no_number_is_an_error_line(
     assert err == f"error: p.json: odd_event_probability must be a number, got {value!r}\n"
 
 
-@pytest.mark.parametrize("command", ["bell", "kolmo"])
+@pytest.mark.parametrize("command", ["bell"])
 def test_an_infinite_tolerance_is_an_error_line(capsys, command):
     code, out, err = run(capsys, [command, "--odd-event", "0", "--tolerance", "1e400"])
     assert (code, out) == (1, "")

@@ -183,6 +183,13 @@ def test_observable_signs_must_cover_basis():
         Observable(AB, {"alpha": True, "beta": 1})
 
 
+def test_observable_keeps_its_signs_as_python_ints():
+    obs = Observable(AB, {"alpha": np.float64(-1.0), "beta": 1.0})
+    assert obs.signs == {"alpha": -1, "beta": 1}
+    assert all(type(s) is int for s in obs.signs.values())
+    assert type(obs.sign("alpha")) is int
+
+
 def test_observable_names_stray_labels_of_mixed_types():
     with pytest.raises(ValueError, match=r"missing \[\], stray \['z', 3\]"):
         Observable(AB, {"alpha": 1, "beta": 1, 3: 1, "z": 1})

@@ -12,8 +12,9 @@ import pytest
 
 import contextprob
 from contextprob import cli
-from contextprob._labels import Labels, distinct_labels, label_pair, listing
-from contextprob.bell import load_scenario
+from contextprob._labels import Labels, distinct_labels, label_pair, listing, shown
+from contextprob._tolerance import check_tolerance
+from contextprob.bell import CorrelationTable, load_scenario
 from contextprob.concepts import RatingTable, context_distribution, context_state, typicality
 from contextprob.entangle import (
     CompatibilityRelation,
@@ -536,3 +537,37 @@ def test_only_labels_shows_an_input_by_its_repr():
     planted = (PACKAGE / "bell.py").read_text("utf-8").replace("{shown(value)}", "{value!r}", 1)
     assert repr_sites(planted, "bell") == {"bell._expectations"}
     assert repr_sites((PACKAGE / "_labels.py").read_text("utf-8"), "_labels") == {"_labels.shown"}
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(np.float64("nan"), "nan"), (np.int64(2), "2"), (np.float64(2.0), "2.0"), (np.str_("a"), "'a'")],
+    ids=repr,
+)
+def test_a_numpy_scalar_is_shown_as_the_python_value_it_holds(value, text):
+    # Not numpy 2's np.float64(nan): a message reads the same under numpy 1 and 2.
+    assert shown(value) == text
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: check_tolerance(np.float64("nan")),
+            "tolerance must be a non-negative number, got nan",
+        ),
+        (
+            lambda: Observable(("a",), {"a": np.int64(2)}),
+            "sign for 'a' must be +1 or -1, got 2",
+        ),
+        (
+            lambda: CorrelationTable(("r0", "r1"), ("c0", "c1"), [[np.float64(2.0), 0], [0, 0]]),
+            "expectation out of range at ('r0', 'c0'): 2.0",
+        ),
+    ],
+    ids=["tolerance", "observable-sign", "joint-cell"],
+)
+def test_a_message_shows_a_numpy_scalar_as_a_python_value(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -397,6 +397,46 @@ def test_rank_out_of_range(toy_matrix):
     assert str(err.value) == "rank must be between 1 and 5, got 9"
 
 
+@pytest.mark.parametrize("rank", [2.7, 0.5, True, "2", None, math.nan, math.inf], ids=repr)
+def test_a_rank_that_is_not_an_integer_is_refused(toy_matrix, rank):
+    # Not truncated to int(rank): 2.7 and "2" built rank 2, True rank 1.
+    with pytest.raises(ValueError) as err:
+        svd_truncate(toy_matrix, rank)
+    assert str(err.value) == f"rank must be between 1 and 5, got {rank!r}"
+    with pytest.raises(ValueError) as err:
+        SemanticSpace(rank, ("a", "b"), ("d1", "d2"), np.ones((2, 2)), [1.0, 1.0], np.ones((2, 2)))
+    assert str(err.value) == f"rank must be between 1 and 2, got {rank!r}"
+
+
+@pytest.mark.parametrize("rank", [np.int64(2), 2.0], ids=repr)
+def test_an_integral_rank_of_any_number_type_is_a_python_int(toy_matrix, rank):
+    space = svd_truncate(toy_matrix, rank)
+    assert space.rank == 2 and type(space.rank) is int
+
+
+@pytest.mark.parametrize("cell", [2.7, "3", True, None, math.nan], ids=repr)
+def test_a_count_that_is_not_an_integer_is_named_by_its_cell(cell):
+    # Not truncated by the int64 cast: 2.7 was stored as 2, "3" as 3.
+    with pytest.raises(ValueError) as err:
+        TermDocMatrix(("s", "t"), ("d1", "d2"), [[1, 0], [0, cell]])
+    assert str(err.value) == f"count at ('t', 'd2') is not an integer: {cell!r}"
+
+
+def test_integral_counts_of_any_number_type_are_kept_as_int64():
+    m = TermDocMatrix(("s", "t"), ("d",), [[np.int64(2)], [3.0]])
+    assert m.counts.dtype == np.int64 and m.counts.tolist() == [[2], [3]]
+
+
+def test_an_integer_count_array_is_taken_without_a_pass_per_cell(monkeypatch):
+    def no_cell_check(value):
+        raise AssertionError("an integer array was checked cell by cell")
+
+    monkeypatch.setattr(semspace_module, "_integral", no_cell_check)
+    for dtype in (np.int64, np.int32, np.uint8):
+        m = TermDocMatrix(("s", "t"), ("d",), np.array([[2], [0]], dtype=dtype))
+        assert m.counts.dtype == np.int64 and m.counts.tolist() == [[2], [0]]
+
+
 # ----------------------------------------------------------------- similarity
 
 

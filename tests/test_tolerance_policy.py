@@ -46,7 +46,7 @@ def test_the_tolerance_module_holds_the_named_values():
 
 @pytest.mark.parametrize(
     "fn",
-    [hilbert.normalize, hilbert.collapse, bell.is_violated, polytope.classify],
+    [hilbert.normalize, hilbert.collapse, bell.is_violated, polytope.classify, polytope.realizable],
     ids=lambda fn: fn.__name__,
 )
 def test_fixed_tolerances_take_no_parameter(fn):
@@ -67,8 +67,7 @@ def test_fixed_settings_take_no_parameter(fn, fixed):
     assert fixed not in inspect.signature(fn).parameters
 
 
-@pytest.mark.parametrize(
-    "fn", [polytope.realizable, bell.product_equality_check], ids=lambda fn: fn.__name__
-)
+@pytest.mark.parametrize("fn", [bell.product_equality_check], ids=lambda fn: fn.__name__)
 def test_residual_tolerance_defaults_to_the_named_value(fn):
+    # The one settable tolerance of the library, as it changes per-cell verdicts.
     assert inspect.signature(fn).parameters["tol"].default is _tolerance.RESIDUAL_TOL
