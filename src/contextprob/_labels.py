@@ -13,7 +13,9 @@ A numpy scalar is shown as the Python value it holds, so a message reads
 the same under numpy 1 and 2.
 No other module formats a message by repr.
 ``same_labels`` is the one check that two objects share a basis, and
-``label_pair`` the one check of a (left, right) pair.
+``label_pair`` the one check of a (left, right) pair. A string given for a
+collection of labels is refused everywhere, by ``label_items``, rather than
+read as its characters.
 """
 
 from __future__ import annotations
@@ -93,18 +95,28 @@ def label_pair(pair) -> tuple[str, str]:
     raise ValueError(f"a pair must be two non-empty string labels, got {shown(pair)}")
 
 
+def label_items(labels: Iterable[str], kind: str) -> tuple:
+    """The labels as a tuple; a string, which would read as one label per
+    character, is a ``ValueError`` naming ``kind`` and showing it."""
+    if isinstance(labels, str):
+        raise ValueError(
+            f"{kind} labels must be a collection of labels, got a string: {shown(labels)}"
+        )
+    return tuple(labels)
+
+
 def distinct_labels(labels: Iterable[str], kind: str) -> Labels:
     """The labels as a checked tuple of non-empty, pairwise distinct strings.
 
     ``Labels`` are returned as they are; any other input is checked and
     returned as ``Labels``. ``kind`` names the labels in the error messages
-    ("exemplar", "side A basis", ...).
+    ("exemplar", "side A basis", ...). A string is refused by ``label_items``.
     The first offending label, in order, is the one reported. The fast path
     is a join, which fails on any non-string, and one set.
     """
     if type(labels) is Labels:
         return labels
-    out = tuple(labels)
+    out = label_items(labels, kind)
     if not out:
         raise ValueError(f"need at least one {kind} label")
     try:

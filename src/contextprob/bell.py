@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from ._labels import distinct_labels, shown
+from ._labels import distinct_labels, listing, shown
 from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, as_number, check_tolerance
 
 #: All eight sign placements: one minus among the four terms, up to a
@@ -307,12 +307,19 @@ def sweep_mixing(grid: Sequence[float]) -> list[SweepPoint]:
     return points
 
 
+#: The keys of a table scenario past ``joint``, then every key a scenario may have.
+_TABLE_KEYS = ("row_contexts", "col_contexts", "singles_a", "singles_b")
+_SCENARIO_KEYS = ("description", "odd_event_probability", "joint", *_TABLE_KEYS)
+
+
 def load_scenario(path: str | Path) -> CorrelationTable:
     """Read a correlation table, or a pet-food mixing probability, from JSON.
 
     Exactly one of ``odd_event_probability`` and ``joint`` must be present.
     With ``joint``, optional keys ``row_contexts``, ``col_contexts``,
-    ``singles_a`` and ``singles_b`` fill in the rest of the table.
+    ``singles_a`` and ``singles_b`` fill in the rest of the table; beside
+    ``odd_event_probability`` they are refused. A free-text
+    ``description`` may go with either, and any other key is refused.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -325,11 +332,21 @@ def load_scenario(path: str | Path) -> CorrelationTable:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
 
+    unknown = [key for key in data if key not in _SCENARIO_KEYS]
+    if unknown:
+        raise ValueError(
+            f"{path}: unknown keys {listing(unknown)}; a scenario takes {listing(_SCENARIO_KEYS)}"
+        )
     has_p = "odd_event_probability" in data
     has_joint = "joint" in data
     if has_p == has_joint:
         raise ValueError(
             f"{path}: give exactly one of 'odd_event_probability' and 'joint'"
+        )
+    beside = [key for key in _TABLE_KEYS if key in data]
+    if has_p and beside:
+        raise ValueError(
+            f"{path}: table keys {listing(beside)} go with 'joint', not 'odd_event_probability'"
         )
     try:
         if has_p:

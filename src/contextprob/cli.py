@@ -222,8 +222,7 @@ def _cmd_semspace(args):
         }
     if args.compare is not None:
         s1, s2 = args.compare
-        tok1 = s1.lower().split() if lowercase else s1.split()
-        tok2 = s2.lower().split() if lowercase else s2.split()
+        tok1, tok2 = semspace.tokenize(s1, lowercase), semspace.tokenize(s2, lowercase)
         comparison = {"sentence_1": s1, "sentence_2": s2}
         if args.mode in ("bow", "both"):
             import numpy as np

@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from ._labels import Labels, distinct_labels, shown
-from ._tolerance import DEFAULT_TOL
+from ._tolerance import DEFAULT_TOL, as_array
 from .hilbert import StateVector
 
 
@@ -40,12 +40,8 @@ class RatingTable:
     def __post_init__(self) -> None:
         exemplars = distinct_labels(self.exemplars, "exemplar")
         contexts = distinct_labels(self.contexts, "context")
-        ratings = np.array(self.ratings, dtype=float)
-        if ratings.shape != (len(exemplars), len(contexts)):
-            raise ValueError(
-                f"ratings shape {ratings.shape} does not match "
-                f"{len(exemplars)} exemplars x {len(contexts)} contexts"
-            )
+        labels = {"exemplar": exemplars, "context": contexts}
+        ratings = as_array(self.ratings, "real", "rating", labels)
         if not np.all(np.isfinite(ratings)):
             raise ValueError("ratings must be finite numbers")
         bad = np.argwhere(ratings < 0)
@@ -100,7 +96,8 @@ class ContextDistribution:
         if not given:
             raise ValueError("distribution needs at least one exemplar")
         labels = distinct_labels(given, "exemplar")
-        self._set(labels, np.fromiter(given.values(), dtype=float, count=len(labels)))
+        probs = as_array(list(given.values()), "real", "probability", {"exemplar": labels})
+        self._set(labels, probs)
 
     @classmethod
     def _from_arrays(cls, context: str, labels: Labels, p: np.ndarray) -> ContextDistribution:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ._labels import Labels, distinct_labels, label_pair, listing, same_labels, shown
-from ._tolerance import DEFAULT_TOL
+from ._tolerance import DEFAULT_TOL, as_number
 from .concepts import ContextDistribution
 from .hilbert import Observable
 
@@ -60,6 +60,7 @@ class CompatibilityRelation:
 
 def full_relation(left: tuple[str, ...], right: tuple[str, ...]) -> CompatibilityRelation:
     """The Cartesian product relation: every pair is compatible."""
+    left, right = distinct_labels(left, "left"), distinct_labels(right, "right")
     return CompatibilityRelation(tuple((a, b) for a in left for b in right))
 
 
@@ -111,11 +112,13 @@ class EntangledState:
         rows: list[int] = []
         cols: list[int] = []
         amps: list[complex] = []
-        for pair, a in dict(self.amplitudes).items():
+        for pair, given in dict(self.amplitudes).items():
             x, y = label_pair(pair)
             i = basis_a.index_of(x, "side A label")
             j = basis_b.index_of(y, "side B label")
-            a = complex(a)
+            a = as_number(given, "complex")
+            if a is None:
+                raise ValueError(f"amplitude at {shown(pair)} is not a number: {shown(given)}")
             if a != 0:
                 rows.append(i)
                 cols.append(j)

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ._labels import distinct_labels, listing, same_labels, shown
-from ._tolerance import DEFAULT_TOL
+from ._labels import distinct_labels, label_items, listing, same_labels, shown
+from ._tolerance import DEFAULT_TOL, as_array, as_number
 
 if TYPE_CHECKING:
     from .entangle import EntangledState
@@ -34,11 +34,9 @@ class StateVector:
 
     def __post_init__(self) -> None:
         basis = distinct_labels(self.basis, "basis")
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        amps = as_array(self.amplitudes, "complex", "amplitude").reshape(-1)
         if amps.shape[0] != len(basis):
-            raise ValueError(
-                f"{amps.shape[0]} amplitudes for {len(basis)} basis labels"
-            )
+            raise ValueError(f"{amps.shape[0]} amplitudes for {len(basis)} basis labels")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm_sq - 1.0) <= DEFAULT_TOL:  # also refuses NaN
             raise ValueError(f"state is not normalized: squared norm {shown(norm_sq)}")
@@ -70,7 +68,7 @@ class Projector:
 
     def __post_init__(self) -> None:
         basis = distinct_labels(self.basis, "basis")
-        support = frozenset(self.support)
+        support = frozenset(label_items(self.support, "support"))
         stray = sorted(support.difference(basis.positions), key=repr)
         if stray:
             raise ValueError(f"projector support not in basis: [{listing(stray)}]")
@@ -101,9 +99,9 @@ class Observable:
                 f"missing [{listing(missing)}], stray [{listing(stray)}]"
             )
         for label, s in signs.items():
-            if isinstance(s, bool) or s not in (1, -1):  # a bool is no number
+            signs[label] = as_number(s, "sign")  # the Python int 1 or -1
+            if signs[label] is None:
                 raise ValueError(f"sign for {shown(label)} must be +1 or -1, got {shown(s)}")
-            signs[label] = 1 if s == 1 else -1  # a Python int, whatever type was given
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "signs", signs)
 
@@ -136,9 +134,7 @@ def normalize(basis: Sequence[str], amplitudes: Sequence[complex]) -> StateVecto
     is scaled by its largest modulus first.
     """
     b = distinct_labels(basis, "basis")
-    amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if amps.shape[0] != len(b):
-        raise ValueError(f"{amps.shape[0]} amplitudes for {len(b)} basis labels")
+    amps = as_array(amplitudes, "complex", "amplitude").reshape(-1)  # StateVector checks the length
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(amps))
     if norm == math.inf:  # overflowed squares, or an infinite amplitude

@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass
 
 from ._labels import shown
-from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL
+from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, as_number
 from .bell import CorrelationTable, CHSH_FORMS, bell_value_all_forms
 
 #: Largest functional value reachable by tensor-product measurements on a
@@ -48,12 +48,12 @@ class DeterministicStrategy:
     col_outcomes: tuple[int, int]
 
     def __post_init__(self) -> None:
-        for v in (*self.row_outcomes, *self.col_outcomes):
-            if isinstance(v, bool) or v not in (1, -1):  # a bool is no number
-                raise ValueError(f"strategy outcomes must be +1 or -1, got {shown(v)}")
-        # Kept as the Python ints 1 and -1, whatever number type was given.
         for field in ("row_outcomes", "col_outcomes"):
-            outcomes = tuple(1 if v == 1 else -1 for v in getattr(self, field))
+            given = tuple(getattr(self, field))
+            outcomes = tuple(as_number(v, "sign") for v in given)  # the ints 1 and -1
+            if None in outcomes:
+                bad = given[outcomes.index(None)]
+                raise ValueError(f"strategy outcomes must be +1 or -1, got {shown(bad)}")
             object.__setattr__(self, field, outcomes)
 
     def joint_products(self) -> tuple[int, int, int, int]:

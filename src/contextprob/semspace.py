@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._labels import Labels, distinct_labels, listing, shown
-from ._tolerance import DEFAULT_TOL, as_number
+from ._labels import Labels, distinct_labels, label_items, listing, shown
+from ._tolerance import DEFAULT_TOL, as_array, as_number
 
 DEFAULT_ORDER_BUDGET = 1_000_000
 
@@ -37,16 +37,9 @@ GRAM_RELATIVE_FLOOR = 1e-4
 GRAM_MAX_RANK_FRACTION = 0.4
 
 
-def _integral(value) -> int | None:
-    """``value`` as an int when it is an integral number by
-    ``_tolerance.as_number``'s rule (so neither text nor a bool), else None."""
-    v = as_number(value)
-    return int(v) if v is not None and v.is_integer() else None
-
-
 def _rank(value, max_k: int) -> int:
     """``value`` as an int from 1 to ``max_k``; a ValueError showing it otherwise."""
-    k = _integral(value)
+    k = as_number(value, "integer")
     if k is None or not 1 <= k <= max_k:
         raise ValueError(f"rank must be between 1 and {max_k}, got {shown(value)}")
     return k
@@ -63,23 +56,7 @@ class TermDocMatrix:
     def __post_init__(self) -> None:
         terms = distinct_labels(self.terms, "term")
         docs = distinct_labels(self.docs, "document")
-        given = self.counts
-        if not isinstance(given, np.ndarray):  # each cell as given: no promotion
-            given = np.array(given, dtype=object)
-        if given.shape != (len(terms), len(docs)):
-            raise ValueError(
-                f"counts shape {given.shape} does not match "
-                f"{len(terms)} terms x {len(docs)} documents"
-            )
-        if given.dtype.kind not in "iu":  # an integer array needs no pass
-            cells = ((i, j, v) for i, row in enumerate(given.tolist()) for j, v in enumerate(row))
-            for i, j, v in cells:
-                if _integral(v) is None:
-                    raise ValueError(
-                        f"count at ({shown(terms[i])}, {shown(docs[j])}) is not an integer: "
-                        f"{shown(v)}"
-                    )
-        counts = np.array(given, dtype=np.int64)
+        counts = as_array(self.counts, "integer", "count", {"term": terms, "document": docs})
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
         if not np.any(counts):
@@ -108,9 +85,9 @@ class SemanticSpace:
         terms = distinct_labels(self.terms, "term")
         docs = distinct_labels(self.docs, "document")
         k = _rank(self.rank, min(len(terms), len(docs)))
-        sv = np.array(self.singular_values, dtype=float)
-        wv = np.array(self.word_vectors, dtype=float)
-        dv = np.array(self.doc_vectors, dtype=float)
+        sv = as_array(self.singular_values, "real", "singular value")
+        wv = as_array(self.word_vectors, "real", "word vector entry")
+        dv = as_array(self.doc_vectors, "real", "document vector entry")
         if sv.shape != (k,):
             raise ValueError(f"expected {k} singular values, got shape {sv.shape}")
         if np.any(sv < 0) or np.any(np.diff(sv) > 0):
@@ -133,8 +110,14 @@ class SemanticSpace:
         return self.word_vectors[self.terms.index_of(term, "term")] * self.singular_values
 
 
+def tokenize(text: str, lowercase: bool = True) -> list[str]:
+    """The tokens of one document or sentence: split at whitespace, and
+    lowercased first unless ``lowercase`` is false."""
+    return text.lower().split() if lowercase else text.split()
+
+
 def parse_corpus(text: str, lowercase: bool = True) -> list[tuple[str, list[str]]]:
-    """One document per non-blank line, whitespace-tokenized.
+    """One document per non-blank line, split into tokens by ``tokenize``.
 
     Documents are labeled doc1, doc2, ... in file order.
     """
@@ -143,8 +126,7 @@ def parse_corpus(text: str, lowercase: bool = True) -> list[tuple[str, list[str]
         line = raw.strip()
         if not line:
             continue
-        tokens = line.lower().split() if lowercase else line.split()
-        docs.append((f"doc{len(docs) + 1}", tokens))
+        docs.append((f"doc{len(docs) + 1}", tokenize(line, lowercase)))
     return docs
 
 
@@ -275,7 +257,7 @@ def _vocab_indices(tokens: Sequence[str], vocab: Sequence[str]) -> tuple[Labels,
     """The checked vocabulary and each token's position in it."""
     vocab = distinct_labels(vocab, "vocabulary")
     pos = vocab.positions
-    for t in tokens:
+    for t in label_items(tokens, "token"):
         if not isinstance(t, str):  # the set below needs hashable tokens
             raise ValueError(f"tokens must be strings, got {listing((t,))}")
     missing = sorted({t for t in tokens if t not in pos})

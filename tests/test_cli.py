@@ -455,6 +455,54 @@ def test_text_singles_in_a_scenario_are_an_error_line(capsys, tmp_path, monkeypa
     assert err == "error: text.json: expectation out of range at single ('row-0'): '0.5'\n"
 
 
+ALLOWED_KEYS = (
+    "'description', 'odd_event_probability', 'joint', 'row_contexts', "
+    "'col_contexts', 'singles_a', 'singles_b'"
+)
+
+
+@pytest.mark.parametrize("command", ["bell", "kolmo"])
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        (
+            {"joint": [[1, 0], [0, 1]], "single_a": [0.5, 0.5]},
+            f"unknown keys 'single_a'; a scenario takes {ALLOWED_KEYS}",
+        ),
+        (
+            {"odd_event_probability": 0.5, "Joint": [[1, 0], [0, 1]], "notes": "x"},
+            f"unknown keys 'Joint', 'notes'; a scenario takes {ALLOWED_KEYS}",
+        ),
+        (
+            {"odd_event_probability": 0.5, "singles_a": [0, 0]},
+            "table keys 'singles_a' go with 'joint', not 'odd_event_probability'",
+        ),
+        (
+            {"odd_event_probability": 0.5, "row_contexts": ["a", "b"], "singles_b": None},
+            "table keys 'row_contexts', 'singles_b' go with 'joint', not 'odd_event_probability'",
+        ),
+    ],
+    ids=["misspelled-singles", "unknown-keys", "singles-beside-p", "table-keys-beside-p"],
+)
+def test_a_scenario_key_that_is_not_read_is_an_error_line(
+    capsys, tmp_path, monkeypatch, command, scenario, message
+):
+    # The parent decided the first as a joints-only table and dropped the
+    # singles of the third without a word.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "keys.json").write_text(json.dumps(scenario))
+    code, out, err = run(capsys, [command, "--scenario", "keys.json"])
+    assert (code, out, err) == (1, "", f"error: keys.json: {message}\n")
+
+
+def test_a_description_goes_with_either_kind_of_scenario(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for scenario in ({"description": "d", "odd_event_probability": 0.5},
+                     {"description": "d", "joint": [[1, 0], [0, 1]]}):
+        (tmp_path / "d.json").write_text(json.dumps(scenario))
+        run_report(capsys, ["kolmo", "--scenario", "d.json"])
+
+
 def test_a_string_of_row_contexts_is_an_error_line(capsys, tmp_path, monkeypatch):
     # A string is a sequence too: "ab" must not become the labels 'a' and 'b'.
     monkeypatch.chdir(tmp_path)

@@ -29,6 +29,7 @@ from contextprob.fixtures import fixture_path
 from contextprob.hilbert import (
     Observable,
     Projector,
+    StateVector,
     basis_state,
     born_prob,
     collapse,
@@ -42,6 +43,7 @@ from contextprob.hilbert import (
 from contextprob.semspace import (
     SemanticSpace,
     TermDocMatrix,
+    bow_vector,
     build_matrix,
     parse_corpus,
     similarity,
@@ -571,3 +573,43 @@ def test_a_message_shows_a_numpy_scalar_as_a_python_value(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, kind",
+    [
+        (lambda: StateVector("ab", [0.6, 0.8]), "basis"),
+        (lambda: normalize("ab", [1.0, 1.0]), "basis"),
+        (lambda: RatingTable("ab", ("c",), [[1.0], [1.0]]), "exemplar"),
+        (lambda: RatingTable(("a",), "ab", [[1.0, 1.0]]), "context"),
+        (lambda: TermDocMatrix("ab", ("d",), [[1], [1]]), "term"),
+        (lambda: bow_vector(["a"], "ab"), "vocabulary"),
+        (lambda: bow_vector("ab", ("a", "b")), "token"),
+        (lambda: identity_projector("ab"), "basis"),
+        (lambda: Projector(("a", "b", "ab"), "ab"), "support"),
+        (lambda: full_relation("ab", ("x",)), "left"),
+        (lambda: full_relation(("x",), "ab"), "right"),
+    ],
+    ids=[
+        "state-vector", "normalize", "rating-exemplars", "rating-contexts", "term-doc-matrix",
+        "bow-vocabulary", "bow-tokens", "identity-projector", "projector-support",
+        "full-relation-left", "full-relation-right",
+    ],
+)
+def test_a_string_is_no_collection_of_labels(call, kind):
+    # The parent read "ab" as the labels 'a' and 'b' at each of these.
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == f"{kind} labels must be a collection of labels, got a string: 'ab'"
+
+
+def test_a_refused_string_of_labels_is_shown_short():
+    with pytest.raises(ValueError) as err:
+        full_relation("q" * 100_000, ("x",))
+    assert len(str(err.value)) < 150
+
+
+def test_a_projector_support_may_still_be_empty_or_repeat_a_label():
+    basis = ("a", "b")
+    assert Projector(basis, ()).support == frozenset()
+    assert Projector(basis, ["a", "a"]).support == {"a"}

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from contextprob.cli import main
 from contextprob.fixtures import fixture_path
 import contextprob.semspace as semspace_module
+from contextprob import _tolerance
 from contextprob.semspace import (
     GRAM_MAX_RANK_FRACTION,
     GRAM_RELATIVE_FLOOR,
@@ -428,10 +429,11 @@ def test_integral_counts_of_any_number_type_are_kept_as_int64():
 
 
 def test_an_integer_count_array_is_taken_without_a_pass_per_cell(monkeypatch):
-    def no_cell_check(value):
+    def no_cell_check(value, kind="real"):
         raise AssertionError("an integer array was checked cell by cell")
 
-    monkeypatch.setattr(semspace_module, "_integral", no_cell_check)
+    # The shared array rule asks as_number once per entry of any other input.
+    monkeypatch.setattr(_tolerance, "as_number", no_cell_check)
     for dtype in (np.int64, np.int32, np.uint8):
         m = TermDocMatrix(("s", "t"), ("d",), np.array([[2], [0]], dtype=dtype))
         assert m.counts.dtype == np.int64 and m.counts.tolist() == [[2], [0]]
@@ -641,3 +643,26 @@ def test_compare_in_a_one_term_vocabulary(capsys, tmp_path):
         "sentence_1": "a",
         "sentence_2": "a a",
     }
+
+
+@pytest.mark.parametrize("lowercase", [True, False])
+def test_the_corpus_and_the_compared_sentences_share_one_tokenizer(
+    capsys, tmp_path, monkeypatch, lowercase
+):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("Mary hits John\njohn  hits\tmary\n")
+    assert semspace_module.tokenize(" Mary\thits  John ", lowercase) == (
+        ["mary", "hits", "john"] if lowercase else ["Mary", "hits", "John"]
+    )
+    seen = []
+
+    def spy(text, lowercase=True):
+        seen.append(text)
+        return text.lower().split() if lowercase else text.split()
+
+    monkeypatch.setattr(semspace_module, "tokenize", spy)
+    flags = [] if lowercase else ["--no-lowercase"]
+    argv = ["semspace", "--corpus", str(corpus), "--compare", "mary hits john", "john hits mary"]
+    assert main(argv + flags) == 0
+    assert seen == ["Mary hits John", "john  hits\tmary", "mary hits john", "john hits mary"]
+    capsys.readouterr()
