@@ -41,6 +41,9 @@ WEIGHT_CUTOFF = 1e-15
 #: (numpy's one-letter codes) it copies with no pass per entry.
 _KINDS = {"real": ("float64", "fiu"), "integer": ("int64", "iu"), "complex": ("complex128", "fiuc")}
 
+#: The range of int64, where every "integer" entry of ``as_array`` must lie.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
 
 def as_number(value, kind: str = "real"):
     """``value`` as a number of ``kind``, or None when it is none: the
@@ -79,10 +82,12 @@ def as_array(values, kind: str, what: str, labels: dict | None = None):
     entry is named by its labels. Without, any shape is taken and an entry
     is named by its index. A numpy array whose dtype is of ``kind`` already
     (an integer or float array for "real") is copied with no pass per
-    entry. Anything else, a Python sequence too, is read as an object
+    entry, except a uint64 array for "integer", which may hold more than
+    int64 does. Anything else, a Python sequence too, is read as an object
     array, so that no entry is promoted, and each entry must pass
-    ``as_number``; the first that does not is a ValueError naming ``what``
-    at the entry and showing the entry by ``shown``.
+    ``as_number``, and for "integer" lie within int64; the first that does
+    not is a ValueError naming ``what`` at the entry and showing the entry
+    by ``shown``.
     """
     import numpy as np  # only callers that hold arrays ask
 
@@ -91,9 +96,11 @@ def as_array(values, kind: str, what: str, labels: dict | None = None):
     if labels and given.shape != tuple(map(len, labels.values())):
         axes = " x ".join(f"{len(axis)} {name}s" for name, axis in labels.items())
         raise ValueError(f"{what} shape {given.shape} does not match {axes}")
-    if given.dtype.kind in ready:
+    if given.dtype.kind in ready and not (kind == "integer" and given.dtype == np.uint64):
         return given.astype(dtype)
     numbers = [as_number(v, kind) for v in given.flat]
+    if kind == "integer":
+        numbers = [n if n is None or _INT64_MIN <= n <= _INT64_MAX else None for n in numbers]
     if None in numbers:
         k = numbers.index(None)
         at = tuple(map(int, np.unravel_index(k, given.shape)))

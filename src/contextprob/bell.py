@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from . import _inputs
 from ._labels import distinct_labels, listing, shown
 from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, as_number, check_tolerance
 
@@ -321,42 +322,40 @@ def load_scenario(path: str | Path) -> CorrelationTable:
     ``odd_event_probability`` they are refused. A free-text
     ``description`` may go with either, and any other key is refused.
     """
+    return _inputs.parse(path, _parse_scenario)
+
+
+def _parse_scenario(text: str) -> CorrelationTable:
+    """The scenario of ``load_scenario`` from the JSON text of its file."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+        raise ValueError(f"not valid JSON: {exc}") from None
     except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object at top level")
+        raise ValueError("expected a JSON object at top level")
 
     unknown = [key for key in data if key not in _SCENARIO_KEYS]
     if unknown:
         raise ValueError(
-            f"{path}: unknown keys {listing(unknown)}; a scenario takes {listing(_SCENARIO_KEYS)}"
+            f"unknown keys {listing(unknown)}; a scenario takes {listing(_SCENARIO_KEYS)}"
         )
     has_p = "odd_event_probability" in data
     has_joint = "joint" in data
     if has_p == has_joint:
-        raise ValueError(
-            f"{path}: give exactly one of 'odd_event_probability' and 'joint'"
-        )
+        raise ValueError("give exactly one of 'odd_event_probability' and 'joint'")
     beside = [key for key in _TABLE_KEYS if key in data]
     if has_p and beside:
         raise ValueError(
-            f"{path}: table keys {listing(beside)} go with 'joint', not 'odd_event_probability'"
+            f"table keys {listing(beside)} go with 'joint', not 'odd_event_probability'"
         )
-    try:
-        if has_p:
-            return pet_food_table(PetFoodScenario(data["odd_event_probability"]))
-        return CorrelationTable(
-            data.get("row_contexts", ("row-0", "row-1")),
-            data.get("col_contexts", ("col-0", "col-1")),
-            data["joint"],
-            singles_a=data.get("singles_a"),
-            singles_b=data.get("singles_b"),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    if has_p:
+        return pet_food_table(PetFoodScenario(data["odd_event_probability"]))
+    return CorrelationTable(
+        data.get("row_contexts", ("row-0", "row-1")),
+        data.get("col_contexts", ("col-0", "col-1")),
+        data["joint"],
+        singles_a=data.get("singles_a"),
+        singles_b=data.get("singles_b"),
+    )

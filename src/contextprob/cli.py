@@ -4,7 +4,8 @@ Subcommands: ratings, bell, sweep, guppy, semspace, kolmo. Every run emits
 one report: a JSON record by default, or, for ``ratings`` and ``sweep``,
 tab-separated plot data under ``--format tsv``. Reports are deterministic
 for identical inputs and flags except for the separate timing field; errors
-go to stderr and flip the exit code to 1.
+go to stderr and flip the exit code to 1. Each input file is read once, and
+the report's ``inputs`` digests the bytes that were parsed.
 
 A run imports only the modules its subcommand needs: each handler imports
 them itself, so ``bell``, ``kolmo`` and ``sweep`` never load numpy, and
@@ -19,7 +20,6 @@ import math
 import os
 import sys
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -33,12 +33,6 @@ SCHEMA_VERSION = 1
 
 #: Most points a sweep grid may hold; the report keeps one record per point.
 MAX_GRID_POINTS = 1_000_000
-
-
-def _digest(path: str | Path) -> str:
-    import hashlib
-
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _resolve_context(table: concepts.RatingTable, query: str) -> str:
@@ -63,20 +57,20 @@ def _pick_context(table: concepts.RatingTable, given: str | None, flag: str) -> 
     )
 
 
-def _load_table(args) -> tuple[bell.CorrelationTable, list[str]]:
+def _load_table(args) -> bell.CorrelationTable:
     if (args.scenario is None) == (args.odd_event is None):
         raise ValueError("give exactly one of --scenario and --odd-event")
-    from . import bell
+    from . import _inputs, bell
 
     if args.scenario is not None:
-        return bell.load_scenario(args.scenario), [args.scenario]
-    return bell.pet_food_table(bell.PetFoodScenario(args.odd_event)), []
+        return _inputs.parse(args.scenario, bell._parse_scenario, record=args.inputs)
+    return bell.pet_food_table(bell.PetFoodScenario(args.odd_event))
 
 
 def _cmd_ratings(args):
-    from . import concepts
+    from . import _inputs, concepts
 
-    table = concepts.load_ratings(args.table)
+    table = _inputs.parse(args.table, concepts.parse_ratings, record=args.inputs)
     context = _resolve_context(table, args.context)
     dist = concepts.context_distribution(table, context)
     ranking = concepts.rank_exemplars(table, context)
@@ -85,13 +79,12 @@ def _cmd_ratings(args):
         tsv += [
             f"{i + 1}\t{x}\t{dist.probability(x)!r}" for i, x in enumerate(ranking)
         ]
-        return None, [args.table], tsv
-    results = {
+        return tsv
+    return {
         "context": context,
         "typicalities": {x: dist.probability(x) for x in table.exemplars},
         "ranking": ranking,
     }
-    return results, [args.table], None
 
 
 def _cmd_bell(args):
@@ -99,7 +92,7 @@ def _cmd_bell(args):
 
     from . import bell, polytope
 
-    table, inputs = _load_table(args)
+    table = _load_table(args)
     tol = check_tolerance(args.tolerance)  # checked with or without singles
     product = None
     if table.has_singles:
@@ -107,7 +100,7 @@ def _cmd_bell(args):
             (*table.singles_a, *table.singles_b), table.joints_flat(), tol=tol
         )
         product = asdict(check)
-    results = {
+    return {
         "bell_value": bell.bell_value(table),
         "all_forms_value": bell.bell_value_all_forms(table),
         "violated": polytope.primary_violated(table),
@@ -115,7 +108,6 @@ def _cmd_bell(args):
         "product_equality": product,
         "table": asdict(table),
     }
-    return results, inputs, None
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -158,8 +150,8 @@ def _cmd_sweep(args):
             f"{'true' if pt.violated else 'false'}"
             for pt in points
         ]
-        return None, [], tsv
-    results = {
+        return tsv
+    return {
         "points": [
             {
                 "odd_event_probability": pt.odd_event_probability,
@@ -169,22 +161,21 @@ def _cmd_sweep(args):
             for pt in points
         ]
     }
-    return results, [], None
 
 
 def _cmd_guppy(args):
-    from . import concepts, entangle
+    from . import _inputs, concepts, entangle
 
-    table_a = concepts.load_ratings(args.concept_a)
-    table_b = concepts.load_ratings(args.concept_b)
+    table_a = _inputs.parse(args.concept_a, concepts.parse_ratings, record=args.inputs)
+    table_b = _inputs.parse(args.concept_b, concepts.parse_ratings, record=args.inputs)
     ctx_a = _pick_context(table_a, args.context_a, "--context-a")
     ctx_b = _pick_context(table_b, args.context_b, "--context-b")
     dist_a = concepts.context_distribution(table_a, ctx_a)
     dist_b = concepts.context_distribution(table_b, ctx_b)
-    relation = entangle.load_relation(args.relation)
+    relation = _inputs.parse(args.relation, entangle.parse_relation, record=args.inputs)
     state = entangle.combine(dist_a, dist_b, relation)
     gap = entangle.guppy_gap(state, dist_a, dist_b, args.exemplar)
-    results = {
+    return {
         "exemplar": args.exemplar,
         "context_a": ctx_a,
         "context_b": ctx_b,
@@ -195,14 +186,13 @@ def _cmd_guppy(args):
         "guppy_effect": gap > 0,
         "support": sorted(list(pair) for pair in state.support),
     }
-    return results, [args.concept_a, args.concept_b, args.relation], None
 
 
 def _cmd_semspace(args):
-    from . import semspace
+    from . import _inputs, semspace
 
     lowercase = not args.no_lowercase
-    corpus = semspace.load_corpus(args.corpus, lowercase=lowercase)
+    corpus = _inputs.parse(args.corpus, semspace.parse_corpus, lowercase, record=args.inputs)
     matrix = semspace.build_matrix(corpus)
     k = args.rank if args.rank is not None else min(len(matrix.terms), len(matrix.docs))
     space = semspace.svd_truncate(matrix, k)
@@ -223,24 +213,21 @@ def _cmd_semspace(args):
     if args.compare is not None:
         s1, s2 = args.compare
         tok1, tok2 = semspace.tokenize(s1, lowercase), semspace.tokenize(s2, lowercase)
-        comparison = {"sentence_1": s1, "sentence_2": s2}
-        if args.mode in ("bow", "both"):
-            import numpy as np
+        import numpy as np
 
-            same = np.array_equal(
-                semspace.bow_vector(tok1, matrix.terms),
-                semspace.bow_vector(tok2, matrix.terms),
-            )
-            comparison["bag_of_words"] = (
-                "indistinguishable" if same else "distinguishable"
-            )
-        if args.mode in ("order", "both"):
-            same = semspace.order_index(tok1, matrix.terms) == semspace.order_index(
-                tok2, matrix.terms
-            )
-            comparison["order"] = "indistinguishable" if same else "distinguishable"
-        results["comparison"] = comparison
-    return results, [args.corpus], None
+        same_bow = np.array_equal(
+            semspace.bow_vector(tok1, matrix.terms), semspace.bow_vector(tok2, matrix.terms)
+        )
+        same_order = semspace.order_index(tok1, matrix.terms) == semspace.order_index(
+            tok2, matrix.terms
+        )
+        results["comparison"] = {
+            "sentence_1": s1,
+            "sentence_2": s2,
+            "bag_of_words": "indistinguishable" if same_bow else "distinguishable",
+            "order": "indistinguishable" if same_order else "distinguishable",
+        }
+    return results
 
 
 def _cmd_kolmo(args):
@@ -248,7 +235,7 @@ def _cmd_kolmo(args):
 
     from . import bell, polytope
 
-    table, inputs = _load_table(args)
+    table = _load_table(args)
     result = polytope.realizable(table)
     weights = None
     if result.feasible:
@@ -257,7 +244,7 @@ def _cmd_kolmo(args):
             for s, w in zip(polytope.enumerate_strategies(), result.weights)
             if w > WEIGHT_CUTOFF
         ]
-    results = {
+    return {
         "feasible": result.feasible,
         "classification": polytope.classify(table),
         "all_forms_value": bell.bell_value_all_forms(table),
@@ -266,7 +253,6 @@ def _cmd_kolmo(args):
         "witness": None if result.witness is None else asdict(result.witness),
         "table": asdict(table),
     }
-    return results, inputs, None
 
 
 def _add_scenario_flags(sp: argparse.ArgumentParser) -> None:
@@ -354,13 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--compare",
         nargs=2,
         metavar=("SENT1", "SENT2"),
-        help="compare two sentences under the chosen representations",
-    )
-    sp.add_argument(
-        "--mode",
-        choices=("bow", "order", "both"),
-        default="both",
-        help="which sentence representations to compare (default both)",
+        help="compare two sentences as bags of words and in word order",
     )
     sp.add_argument(
         "--no-lowercase",
@@ -379,21 +359,25 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(raw)
     start = time.perf_counter()
+    args.inputs = {}  # each input file's bytes, as the handler parsed them
     try:
-        # The handlers with --format build only the output it asks for and
-        # return None for the other.
-        results, inputs, tsv = args.handler(args)
-        digests = {str(p): _digest(p) for p in inputs}
+        # The results dict, or the TSV rows under --format tsv.
+        output = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    digests = {}
+    if args.inputs:
+        import hashlib
+
+        digests = {p: "sha256:" + hashlib.sha256(b).hexdigest() for p, b in args.inputs.items()}
     elapsed = time.perf_counter() - start
 
     if args.format == "tsv":
         lines = [
             f"# contextprob schema={SCHEMA_VERSION} version={__version__}",
             f"# command: {args.command} " + " ".join(raw[1:]),
-            *tsv,
+            *output,
         ]
     else:
         report = {
@@ -401,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
             "artifact_version": __version__,
             "command": raw,
             "inputs": digests,
-            "results": results,
+            "results": output,
             "timing_s": round(elapsed, 6),
         }
         lines = [json.dumps(report, indent=2, sort_keys=True)]

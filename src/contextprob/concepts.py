@@ -24,6 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import _inputs
 from ._labels import Labels, distinct_labels, shown
 from ._tolerance import DEFAULT_TOL, as_array
 from .hilbert import StateVector
@@ -182,10 +183,7 @@ def parse_ratings(text: str) -> RatingTable:
 
 
 def load_ratings(path: str | Path) -> RatingTable:
-    try:
-        return parse_ratings(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _inputs.parse(path, parse_ratings)
 
 
 def context_distribution(table: RatingTable, context: str) -> ContextDistribution:

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _inputs
 from ._labels import Labels, distinct_labels, label_pair, listing, same_labels, shown
 from ._tolerance import DEFAULT_TOL, as_number
 from .concepts import ContextDistribution
@@ -86,10 +87,7 @@ def parse_relation(text: str) -> CompatibilityRelation:
 
 
 def load_relation(path: str | Path) -> CompatibilityRelation:
-    try:
-        return parse_relation(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _inputs.parse(path, parse_relation)
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,14 +42,25 @@ SUPRA_QUANTUM = "supra-quantum"
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
-    """Fixed +1/-1 outcomes for both row contexts and both column contexts."""
+    """Fixed +1/-1 outcomes for both row contexts and both column contexts.
+
+    Each side takes exactly two outcomes, in any sized collection other
+    than a string.
+    """
 
     row_outcomes: tuple[int, int]
     col_outcomes: tuple[int, int]
 
     def __post_init__(self) -> None:
         for field in ("row_outcomes", "col_outcomes"):
-            given = tuple(getattr(self, field))
+            given = getattr(self, field)
+            try:
+                two = not isinstance(given, str) and len(given) == 2
+            except TypeError:  # no length
+                two = False
+            if not two:
+                raise ValueError(f"{field} must be two outcomes, +1 or -1, got {shown(given)}")
+            given = tuple(given)
             outcomes = tuple(as_number(v, "sign") for v in given)  # the ints 1 and -1
             if None in outcomes:
                 bad = given[outcomes.index(None)]

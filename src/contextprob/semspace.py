@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _inputs
 from ._labels import Labels, distinct_labels, label_items, listing, shown
 from ._tolerance import DEFAULT_TOL, as_array, as_number
 
@@ -131,10 +132,7 @@ def parse_corpus(text: str, lowercase: bool = True) -> list[tuple[str, list[str]
 
 
 def load_corpus(path: str | Path, lowercase: bool = True) -> list[tuple[str, list[str]]]:
-    try:
-        return parse_corpus(Path(path).read_text(encoding="utf-8"), lowercase=lowercase)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _inputs.parse(path, parse_corpus, lowercase)
 
 
 def build_matrix(corpus: Sequence[tuple[str, Sequence[str]]]) -> TermDocMatrix:

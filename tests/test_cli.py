@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -73,7 +74,7 @@ def test_ratings_column_whose_sum_overflows(tmp_path):
         [sys.executable, "-m", "contextprob", "ratings", str(table), "--context", "c"],
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=30,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
@@ -324,19 +325,16 @@ def test_semspace_sentence_comparison(capsys):
     assert comparison["order"] == "distinguishable"
 
 
-def test_semspace_bow_only_mode(capsys):
-    report = run_report(
-        capsys,
-        [
-            "semspace",
-            "--corpus", TOY_CORPUS,
-            "--compare", "fish and chips", "chips and fish",
-            "--mode", "bow",
-        ],
-    )
-    comparison = report["results"]["comparison"]
+def test_semspace_has_no_mode_flag(capsys):
+    # Both comparisons are always reported, so the flag is a usage error.
+    argv = ["semspace", "--corpus", TOY_CORPUS, "--compare", "fish and chips", "chips and fish"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--mode", "bow"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode bow" in capsys.readouterr().err
+    comparison = run_report(capsys, argv)["results"]["comparison"]
     assert comparison["bag_of_words"] == "indistinguishable"
-    assert "order" not in comparison
+    assert comparison["order"] == "distinguishable"
 
 
 def test_semspace_similarity_pair(capsys):
@@ -649,6 +647,182 @@ def test_non_finite_rating_names_its_line_and_cell(capsys, tmp_path, monkeypatch
     assert err == f"error: r.tsv: line 3: rating at ('y', 'c') is not finite: '{cell}'\n"
 
 
+# ---------------------------------------------------------- one read per input
+
+
+def raw(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def sha256(path):
+    return "sha256:" + hashlib.sha256(raw(path)).hexdigest()
+
+
+def cli_run(*argv, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "contextprob", *argv],
+        capture_output=True,
+        timeout=30,
+        **kwargs,
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_fifo_input_is_read_once_and_digested(tmp_path):
+    import threading
+
+    fifo = tmp_path / "ratings.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as f:  # blocks until the run opens the pipe
+            f.write(raw(PET_RATINGS))
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    proc = cli_run("ratings", str(fifo), "--context", "chewing a bone")
+    writer.join(timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["inputs"] == {str(fifo): sha256(PET_RATINGS)}
+    assert report["results"]["ranking"][0] == "dog"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_a_scenario_piped_to_dev_stdin_is_digested():
+    proc = cli_run("kolmo", "--scenario", "/dev/stdin", input=raw(QUANTUM_PATTERN))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["inputs"] == {"/dev/stdin": sha256(QUANTUM_PATTERN)}
+    assert report["results"]["classification"] == "quantum-achievable"
+
+
+def test_guppy_reads_each_input_path_once(capsys, monkeypatch):
+    import pathlib
+
+    reads = []
+    for name in ("read_bytes", "read_text"):
+        method = getattr(pathlib.Path, name)
+
+        def counted(self, *args, _method=method, **kwargs):
+            reads.append(str(self))
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, name, counted)
+    report = run_report(capsys, guppy_argv())
+    assert sorted(reads) == sorted([PETFISH_PET, PETFISH_FISH, PET_FISH_PAIRS])
+    assert report["inputs"] == {p: sha256(p) for p in (PETFISH_PET, PETFISH_FISH, PET_FISH_PAIRS)}
+
+
+def crlf_copy(tmp_path, path):
+    copy = tmp_path / ("crlf-" + os.path.basename(path))
+    copy.write_bytes(raw(path).replace(b"\n", b"\r\n"))
+    return str(copy)
+
+
+def test_crlf_inputs_give_the_same_results(capsys, tmp_path):
+    def argvs(p):
+        return [
+            ["ratings", p(PET_RATINGS), "--context", "bone"],
+            ["bell", "--scenario", p(PET_FOOD_SCENARIO)],
+            ["kolmo", "--scenario", p(QUANTUM_PATTERN)],
+            [
+                "guppy",
+                "--concept-a", p(PETFISH_PET),
+                "--concept-b", p(PETFISH_FISH),
+                "--relation", p(PET_FISH_PAIRS),
+                "--exemplar", "guppy",
+            ],
+            ["semspace", "--corpus", p(TOY_CORPUS), "--compare", "mary hits john", "john hits mary"],
+        ]
+
+    for lf, crlf in zip(argvs(str), argvs(lambda path: crlf_copy(tmp_path, path))):
+        report = run_report(capsys, crlf)
+        assert report["results"] == run_report(capsys, lf)["results"], lf[0]
+        assert all(b"\r\n" in raw(p) for p in report["inputs"])
+
+
+READ_ERRORS = {
+    "ratings-not-utf8": (
+        ["ratings", "{f}", "--context", "c"],
+        b"exemplar\tc\n\xff\xfex\t1\n",
+        "{f}: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte",
+    ),
+    "kolmo-not-utf8": (
+        ["kolmo", "--scenario", "{f}"],
+        b'{"joint": [[1, 0], [0, 1]], "description": "\xff"}',
+        "{f}: 'utf-8' codec can't decode byte 0xff in position 44: invalid start byte",
+    ),
+    "semspace-not-utf8": (
+        ["semspace", "--corpus", "{f}"],
+        b"mary hits john\n\xc3\x28 bad\n",
+        "{f}: 'utf-8' codec can't decode byte 0xc3 in position 15: invalid continuation byte",
+    ),
+    "negative-rating": (
+        ["ratings", "{f}", "--context", "c"],
+        b"exemplar\tc\ndog\t-1\ncat\t2\n",
+        "{f}: line 2: negative rating at ('dog', 'c'): -1.0",
+    ),
+    "missing-file": (
+        ["ratings", "{f}", "--context", "c"],
+        None,
+        "[Errno 2] No such file or directory: '{f}'",
+    ),
+    "deep-json": (
+        ["kolmo", "--scenario", "{f}"],
+        b"[" * 100_000 + b"]" * 100_000,
+        "{f}: JSON nested too deeply",
+    ),
+    "misspelled-key": (
+        ["kolmo", "--scenario", "{f}"],
+        b'{"joint": [[1, 0], [0, 1]], "single_a": [0.5, 0.5]}',
+        f"{{f}}: unknown keys 'single_a'; a scenario takes {ALLOWED_KEYS}",
+    ),
+    "truncated-json": (
+        ["bell", "--scenario", "{f}"],
+        b'{"joint": [[1, 0], [0, 1]\n',
+        "{f}: not valid JSON: Expecting ',' delimiter: line 2 column 1 (char 26)",
+    ),
+    "text-cell": (
+        ["ratings", "{f}", "--context", "c"],
+        b"exemplar\tc\ndog\tlots\ncat\t2\n",
+        "{f}: line 2: rating at ('dog', 'c') is not a number: 'lots'",
+    ),
+    "non-grid-joint": (
+        ["bell", "--scenario", "{f}"],
+        b'{"joint": [[1, 0, 0], [0, 1]]}',
+        "{f}: joint expectations must be 2x2, got [[1, 0, 0], [0, 1]]",
+    ),
+    "guppy-bad-relation": (
+        guppy_argv(relation="{f}"),
+        b"guppy\tguppy\nonlyone\n",
+        "{f}: line 2: expected two tab-separated labels, got 'onlyone'",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, data, message", READ_ERRORS.values(), ids=READ_ERRORS)
+def test_a_bad_input_file_is_one_error_line_naming_it(capsys, tmp_path, argv, data, message):
+    path = tmp_path / "input"
+    if data is not None:
+        path.write_bytes(data)
+    argv = [a.format(f=path) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: {message.format(f=path)}\n")
+
+
+def test_importing_the_cli_loads_no_reader():
+    # The handlers import the reader, as they import the library modules.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, contextprob.cli; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "contextprob._inputs" not in proc.stdout
+
+
 # ----------------------------------------------------------------- invariants
 
 
@@ -704,7 +878,7 @@ def test_closed_stdout_ends_quietly(argv):
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
-            timeout=60,
+            timeout=30,
         )
     finally:
         os.close(write_end)

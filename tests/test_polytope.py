@@ -106,6 +106,34 @@ def test_a_strategy_refuses_a_bool_outcome():
         DeterministicStrategy((True, 1), (1, -1))
 
 
+@pytest.mark.parametrize(
+    "row, shown",
+    [
+        ((1, 1, 1), "(1, 1, 1)"),
+        ((1,), "(1,)"),
+        ((), "()"),
+        (5, "5"),
+        (None, "None"),
+        ("11", "'11'"),
+        (np.array(1), "array(1)"),
+    ],
+    ids=repr,
+)
+def test_a_strategy_takes_exactly_two_outcomes_a_side(row, shown):
+    # (1, 1, 1) built and failed in joint_products; 5 was a TypeError.
+    with pytest.raises(ValueError) as err:
+        DeterministicStrategy(row, (1, -1))
+    assert str(err.value) == f"row_outcomes must be two outcomes, +1 or -1, got {shown}"
+    with pytest.raises(ValueError) as err:
+        DeterministicStrategy((1, -1), row)
+    assert str(err.value) == f"col_outcomes must be two outcomes, +1 or -1, got {shown}"
+
+
+def test_a_strategy_takes_its_outcomes_from_any_pair():
+    s = DeterministicStrategy([1, -1], np.array([-1, 1]))
+    assert s == DeterministicStrategy((1, -1), (-1, 1))
+
+
 def test_a_strategy_keeps_its_outcomes_as_python_ints():
     s = DeterministicStrategy((1.0, -1), (np.int64(1), 1))
     assert s == DeterministicStrategy((1, -1), (1, 1))

@@ -423,6 +423,23 @@ def test_a_count_that_is_not_an_integer_is_named_by_its_cell(cell):
     assert str(err.value) == f"count at ('t', 'd2') is not an integer: {cell!r}"
 
 
+def test_a_count_past_int64_is_named_by_its_cell():
+    # It raised OverflowError from the int64 cast.
+    with pytest.raises(ValueError) as err:
+        TermDocMatrix(("s",), ("d",), [[2**70]])
+    assert str(err.value) == f"count at ('s', 'd') is not an integer: {2**70!r}"
+
+
+def test_a_uint64_count_past_int64_is_named_by_its_cell():
+    # It wrapped to -2**63 and read "counts must be nonnegative".
+    counts = np.array([[1], [2**63]], dtype=np.uint64)
+    with pytest.raises(ValueError) as err:
+        TermDocMatrix(("s", "t"), ("d",), counts)
+    assert str(err.value) == f"count at ('t', 'd') is not an integer: {2**63!r}"
+    m = TermDocMatrix(("s", "t"), ("d",), np.array([[1], [2**63 - 1]], dtype=np.uint64))
+    assert m.counts.dtype == np.int64 and m.counts.tolist() == [[1], [2**63 - 1]]
+
+
 def test_integral_counts_of_any_number_type_are_kept_as_int64():
     m = TermDocMatrix(("s", "t"), ("d",), [[np.int64(2)], [3.0]])
     assert m.counts.dtype == np.int64 and m.counts.tolist() == [[2], [3]]
