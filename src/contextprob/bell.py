@@ -150,8 +150,22 @@ def _joint_grid(joint, rows, cols) -> tuple[tuple[float, float], tuple[float, fl
     return (e00, e01), (e10, e11)
 
 
+def _sized(values) -> bool:
+    """Whether ``values`` is a collection with a length, and no string.
+
+    ``len`` decides, not ``__len__``: a 0-d array has the method but no length.
+    """
+    if isinstance(values, str):
+        return False
+    try:
+        len(values)
+    except TypeError:
+        return False
+    return True
+
+
 def _context_pair(labels, kind: str) -> tuple[str, str]:
-    if isinstance(labels, str) or not hasattr(labels, "__len__"):  # no list of labels
+    if not _sized(labels):  # no list of labels
         raise ValueError(f"{kind}_contexts must be a list of two labels, got {shown(labels)}")
     pair = tuple(labels)
     if len(pair) != 2:
@@ -164,7 +178,7 @@ def _context_pair(labels, kind: str) -> tuple[str, str]:
 def _singles(values, contexts, field: str) -> tuple[float, float] | None:
     if values is None:
         return None
-    if isinstance(values, str) or not hasattr(values, "__len__"):  # no list of numbers
+    if not _sized(values):  # no list of numbers
         raise ValueError(f"{field} must be a list of two numbers, got {shown(values)}")
     if len(values) != 2:
         raise ValueError(f"need exactly two single-side expectations, got {shown(values)}")

@@ -9,7 +9,7 @@ the report's ``inputs`` digests the bytes that were parsed.
 
 A run imports only the modules its subcommand needs: each handler imports
 them itself, so ``bell``, ``kolmo`` and ``sweep`` never load numpy, and
-``hashlib`` loads only when a run has input files to digest.
+``hashlib`` loads only when a JSON record has input files to digest.
 """
 
 from __future__ import annotations
@@ -367,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     digests = {}
-    if args.inputs:
+    if args.inputs and args.format == "record":  # a TSV report lists no inputs
         import hashlib
 
         digests = {p: "sha256:" + hashlib.sha256(b).hexdigest() for p, b in args.inputs.items()}

@@ -84,7 +84,9 @@ class ContextDistribution:
     Probabilities are kept in insertion order, sum to one within
     ``DEFAULT_TOL``, and are clamped into [0, 1] after an equally tight range
     check, so that floating-point dust from upstream arithmetic never leaks
-    out.
+    out. They are kept as a float list and a read-only float array in
+    exemplar order; the ``probabilities`` dict is built from those on first
+    read and kept.
     """
 
     context: str
@@ -99,6 +101,7 @@ class ContextDistribution:
         labels = distinct_labels(given, "exemplar")
         probs = as_array(list(given.values()), "real", "probability", {"exemplar": labels})
         self._set(labels, probs)
+        object.__delattr__(self, "probabilities")  # rebuilt from the checked list
 
     @classmethod
     def _from_arrays(cls, context: str, labels: Labels, p: np.ndarray) -> ContextDistribution:
@@ -119,9 +122,20 @@ class ContextDistribution:
         total = sum(probs)
         if abs(total - 1.0) > DEFAULT_TOL:
             raise ValueError(f"probabilities sum to {shown(total)}, expected 1")
-        object.__setattr__(self, "probabilities", dict(zip(labels, probs)))
+        p.flags.writeable = False
         object.__setattr__(self, "_exemplars", labels)
         object.__setattr__(self, "_probs", probs)
+        object.__setattr__(self, "_p", p)
+
+    def __getattr__(self, name: str):
+        # Reached only for a name the instance does not hold yet.
+        if name != "probabilities":
+            raise AttributeError(
+                f"'{type(self).__name__}' object has no attribute '{name}'", name=name, obj=self
+            )
+        probabilities = dict(zip(self._exemplars, self._probs))
+        object.__setattr__(self, "probabilities", probabilities)
+        return probabilities
 
     @property
     def exemplars(self) -> Labels:
@@ -202,10 +216,7 @@ def context_distribution(table: RatingTable, context: str) -> ContextDistributio
 def context_state(table: RatingTable, context: str) -> StateVector:
     """The concept's state under a context: amplitudes are square roots
     of the choice probabilities, in exemplar order."""
-    dist = context_distribution(table, context)
-    probs = dist.probabilities
-    amps = np.sqrt(np.fromiter(probs.values(), dtype=float, count=len(probs)))
-    return StateVector(table.exemplars, amps)
+    return StateVector(table.exemplars, np.sqrt(context_distribution(table, context)._p))
 
 
 def typicality(table: RatingTable, context: str, exemplar: str) -> float:

@@ -45,6 +45,7 @@ class CompatibilityRelation:
             dup = next(p for p in pairs if p in seen or seen.add(p))
             raise ValueError(f"duplicate pair in relation: {shown(dup)}")
         object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_last", None)
 
     @cached_property
     def _index(self) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
@@ -57,6 +58,31 @@ class CompatibilityRelation:
         ri = np.fromiter((right.setdefault(b, len(right)) for _, b in self.pairs), np.intp, n)
         li.flags.writeable = ri.flags.writeable = False
         return tuple(left), tuple(right), li, ri
+
+    def _positions(self, basis_a: Labels, basis_b: Labels) -> tuple[np.ndarray, np.ndarray]:
+        """Each pair's position in ``basis_a`` and in ``basis_b``.
+
+        The positions of the distinct labels in the last two bases asked
+        for are kept as one entry, found again by the identity of those
+        bases, since ``Labels`` never change. An unknown label is a
+        ValueError naming the first one, pair by pair.
+        """
+        left, right, li, ri = self._index
+        last = self._last
+        if last is not None and last[0] is basis_a and last[1] is basis_b:
+            at_a, at_b = last[2], last[3]
+        else:
+            pos_a, pos_b = basis_a.positions, basis_b.positions
+            at_a = [pos_a.get(x, -1) for x in left]
+            at_b = [pos_b.get(y, -1) for y in right]
+            if -1 in at_a or -1 in at_b:
+                for x, y in self.pairs:
+                    basis_a.index_of(x, "exemplar")
+                    basis_b.index_of(y, "exemplar")
+            at_a, at_b = np.array(at_a, dtype=np.intp), np.array(at_b, dtype=np.intp)
+            at_a.flags.writeable = at_b.flags.writeable = False
+            object.__setattr__(self, "_last", (basis_a, basis_b, at_a, at_b))
+        return at_a[li], at_b[ri]
 
 
 def full_relation(left: tuple[str, ...], right: tuple[str, ...]) -> CompatibilityRelation:
@@ -219,19 +245,8 @@ def combine(
     compatible pair carries positive probability on both sides.
     """
     basis_a, basis_b = dist_a.exemplars, dist_b.exemplars
-    pa = np.fromiter(dist_a.probabilities.values(), dtype=float, count=len(basis_a))
-    pb = np.fromiter(dist_b.probabilities.values(), dtype=float, count=len(basis_b))
-    left, right, li, ri = relation._index
-    pos_a, pos_b = basis_a.positions, basis_b.positions
-    at_a = [pos_a.get(x, -1) for x in left]
-    at_b = [pos_b.get(y, -1) for y in right]
-    if -1 in at_a or -1 in at_b:
-        for x, y in relation.pairs:  # report the first unknown label, pair by pair
-            dist_a.probability(x)
-            dist_b.probability(y)
-    rows = np.array(at_a, dtype=np.intp)[li]
-    cols = np.array(at_b, dtype=np.intp)[ri]
-    weights = pa[rows] * pb[cols]
+    rows, cols = relation._positions(basis_a, basis_b)
+    weights = dist_a._p[rows] * dist_b._p[cols]
     keep = weights > 0
     if not keep.any():
         raise ValueError(
@@ -247,9 +262,8 @@ def joint_expectation(state: EntangledState, obs_a: Observable, obs_b: Observabl
     """Mean of the product of two one-sided +1/-1 observables."""
     same_labels(obs_a.basis, state.basis_a, "side A basis mismatch, observable vs state")
     same_labels(obs_b.basis, state.basis_b, "side B basis mismatch, observable vs state")
-    sa = np.array([obs_a.signs[x] for x in state.basis_a], dtype=float)
-    sb = np.array([obs_b.signs[y] for y in state.basis_b], dtype=float)
-    total = float(np.dot(sa[state._rows] * sb[state._cols], state._probs))
+    signs = obs_a._signs[state._rows] * obs_b._signs[state._cols]
+    total = float(np.dot(signs, state._probs))
     return min(max(total, -1.0), 1.0)
 
 

@@ -83,7 +83,10 @@ def identity_projector(basis: Sequence[str]) -> Projector:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Diagonal two-valued observable: each basis label gets +1 or -1."""
+    """Diagonal two-valued observable: each basis label gets +1 or -1.
+
+    The signs are also kept as a read-only float array in basis order.
+    """
 
     basis: tuple[str, ...]
     signs: Mapping[str, int]
@@ -102,8 +105,11 @@ class Observable:
             signs[label] = as_number(s, "sign")  # the Python int 1 or -1
             if signs[label] is None:
                 raise ValueError(f"sign for {shown(label)} must be +1 or -1, got {shown(s)}")
+        in_order = np.array([signs[x] for x in basis], dtype=float)
+        in_order.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "_signs", in_order)
 
     def sign(self, label: str) -> int:
         self.basis.index_of(label, "basis label")  # names an unknown label

@@ -99,6 +99,31 @@ def test_table_joint_is_a_tuple_of_two_float_pairs(make):
         assert all(type(v) is float for v in row)
 
 
+@pytest.mark.parametrize("value", [math.nextafter(-1.0, -2.0), -1.25], ids=["just-below", "-1.25"])
+def test_an_expectation_below_minus_one_is_refused(value):
+    with pytest.raises(ValueError, match=r"out of range at \('r1', 'c0'\)"):
+        table([[0.0, 0.0], [value, 0.0]])
+    with pytest.raises(ValueError, match=r"out of range at single \('r1'\)"):
+        table([[0.0, 0.0], [0.0, 0.0]], singles_a=(0.0, value), singles_b=(0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"row_contexts": np.array(5)}, "row_contexts must be a list of two labels, got array(5)"),
+        ({"col_contexts": np.array(5)}, "col_contexts must be a list of two labels, got array(5)"),
+        ({"singles_a": np.array(1), "singles_b": (0, 0)}, "singles_a must be a list of two numbers, got array(1)"),
+        ({"singles_a": (0, 0), "singles_b": np.array(1)}, "singles_b must be a list of two numbers, got array(1)"),
+    ],
+    ids=["row_contexts", "col_contexts", "singles_a", "singles_b"],
+)
+def test_a_0d_array_for_a_list_field_is_named(fields, message):
+    # A 0-d array has __len__ but no length.
+    given = {"row_contexts": ROWS, "col_contexts": COLS, "joint": ((0, 0), (0, 0)), **fields}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CorrelationTable(**given)
+
+
 def test_table_requires_singles_on_both_sides_or_neither():
     with pytest.raises(ValueError, match="both sides or neither"):
         table([[0.0, 0.0], [0.0, 0.0]], singles_a=(0.0, 0.0))

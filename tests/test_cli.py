@@ -933,7 +933,18 @@ def test_bell_kolmo_and_sweep_run_without_numpy(args):
         (("-m", "contextprob", "bell", "--odd-event", "0"), False),
         (("-m", "contextprob", "sweep", "--grid", "0:1:0.001"), False),
         (("-m", "contextprob", "kolmo", "--scenario", QUANTUM_PATTERN), True),
+        (("-m", "contextprob", "ratings", PET_RATINGS, "--context", "bone", "--format", "tsv"), False),
     ],
 )
 def test_hashlib_loads_only_to_digest_input_files(args, digests):
     assert ("hashlib" in imported_modules(*args)) is digests
+
+
+def test_a_tsv_report_digests_no_input(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a TSV report lists no inputs to digest")
+
+    monkeypatch.setattr(hashlib, "sha256", refuse)
+    code, out, err = run(capsys, ["ratings", PET_RATINGS, "--context", "bone", "--format", "tsv"])
+    assert (code, err) == (0, "")
+    assert out.startswith("# contextprob schema=")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contextprob.concepts import ContextDistribution
+from contextprob.concepts import ContextDistribution, RatingTable, context_distribution
 from contextprob.entangle import (
     CompatibilityRelation,
     EntangledState,
@@ -580,3 +580,85 @@ def test_a_pair_lookup_off_the_support_is_a_key_error():
         assert key not in state.amplitudes
         assert state.amplitudes.get(key) is None
     assert state.amplitude("w", "u") == state.amplitude("y", "u") == 0j
+
+
+# ------------------------------------------- labels looked up once per object
+
+
+def support_bits(state):
+    return state.basis_a, state.basis_b, state._rows.tobytes(), state._cols.tobytes(), state._amps.tobytes()
+
+
+def test_a_relation_gives_the_same_bits_whichever_bases_it_saw_before():
+    rng = np.random.default_rng(7)
+    pa, pb, relation, _, _ = benchmark_shape(rng, 40, 3)
+    pa_reordered = ContextDistribution("a", dict(reversed(list(pa.probabilities.items()))))
+    pb_copy = ContextDistribution("b", dict(pb.probabilities))  # equal labels, another object
+    wider = ContextDistribution("b", {**{y: p / 2 for y, p in pb.probabilities.items()}, "extra": 0.5})
+    order = [(pa, pb), (pa_reordered, pb), (pa, pb_copy), (pa, wider), (pa, pb), (pa, pb)]
+    for left, right in order:
+        fresh = CompatibilityRelation(relation.pairs)
+        assert support_bits(combine(left, right, relation)) == support_bits(
+            combine(left, right, fresh)
+        )
+
+
+def test_the_unknown_label_error_is_the_same_on_a_first_and_a_later_call():
+    pa, pb = dist("a", x=0.5, y=0.5), dist("b", u=0.5, v=0.5)
+    short = dist("b", u=1.0)
+    relation = CompatibilityRelation((("x", "u"), ("y", "v")))
+    with pytest.raises(ValueError) as first:
+        combine(pa, short, relation)
+    combine(pa, pb, relation)  # the relation now keeps pb's positions
+    with pytest.raises(ValueError) as later:
+        combine(pa, short, relation)
+    assert str(later.value) == str(first.value) == "unknown exemplar 'v'; available exemplars: 'u'"
+    combine(pa, short, CompatibilityRelation((("x", "u"),)))  # a known pair still combines
+
+
+@pytest.mark.parametrize("source", ["context_distribution", "marginal", "constructed"])
+def test_probabilities_equal_the_dict_built_when_the_distribution_was(source):
+    table = RatingTable(("a", "b", "c"), ("k",), np.array([[1.0], [3.0], [0.0]]))
+    # The dict each distribution was given when it was built: its labels and
+    # its clipped probabilities.
+    if source == "context_distribution":
+        got = context_distribution(table, "k")
+        probs = table.ratings[:, 0] / table.ratings[:, 0].sum()
+        eager = dict(zip(table.exemplars, np.clip(probs, 0.0, 1.0).tolist()))
+    elif source == "marginal":
+        relation = full_relation(table.exemplars, ("u",))
+        state = combine(context_distribution(table, "k"), dist("d", u=1.0), relation)
+        got = marginal(state, "A")
+        probs = np.bincount(state._rows, weights=state._probs, minlength=3)
+        eager = dict(zip(state.basis_a, np.clip(probs, 0.0, 1.0).tolist()))
+    else:
+        got = ContextDistribution("k", {"a": np.float64(0.25), "b": 0.75, "c": 1e-14})
+        eager = {"a": 0.25, "b": 0.75, "c": 1e-14}
+    probabilities = got.probabilities
+    assert type(probabilities) is dict and got.probabilities is probabilities
+    assert list(probabilities.items()) == list(eager.items())
+    assert all(type(p) is float for p in probabilities.values())
+    assert repr(probabilities) == repr(eager)
+    assert repr(got) == f"ContextDistribution(context={got.context!r}, probabilities={eager!r})"
+    assert not got._p.flags.writeable
+
+
+def test_joint_expectation_matches_the_sign_lookup_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        n_a, n_b = rng.integers(1, 8, size=2)
+        basis_a = tuple(f"a{i}" for i in range(n_a))
+        basis_b = tuple(f"b{j}" for j in range(n_b))
+        amps = rng.normal(size=(n_a, n_b)) + 1j * rng.normal(size=(n_a, n_b))
+        amps[rng.random((n_a, n_b)) < 0.3] = 0
+        if not amps.any():
+            amps[0, 0] = 1
+        amps /= np.linalg.norm(amps)
+        pairs = itertools.product(basis_a, basis_b)
+        state = EntangledState(basis_a, basis_b, dict(zip(pairs, amps.reshape(-1))))
+        obs_a = Observable(basis_a, dict(zip(basis_a, rng.choice([1, -1], n_a).tolist())))
+        obs_b = Observable(basis_b, dict(zip(basis_b, rng.choice([1, -1], n_b).tolist())))
+        sa = np.array([obs_a.signs[x] for x in state.basis_a], dtype=float)
+        sb = np.array([obs_b.signs[y] for y in state.basis_b], dtype=float)
+        want = min(max(float(np.dot(sa[state._rows] * sb[state._cols], state._probs)), -1.0), 1.0)
+        assert joint_expectation(state, obs_a, obs_b).hex() == want.hex()

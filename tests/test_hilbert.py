@@ -190,6 +190,13 @@ def test_observable_keeps_its_signs_as_python_ints():
     assert type(obs.sign("alpha")) is int
 
 
+def test_observable_keeps_its_signs_as_a_read_only_array_in_basis_order():
+    obs = Observable(("a", "b", "c"), {"c": 1, "a": -1.0, "b": np.int64(1)})
+    assert obs._signs.dtype == float and obs._signs.tolist() == [-1.0, 1.0, 1.0]
+    with pytest.raises(ValueError, match="read-only"):
+        obs._signs[0] = 1.0
+
+
 def test_observable_names_stray_labels_of_mixed_types():
     with pytest.raises(ValueError, match=r"missing \[\], stray \['z', 3\]"):
         Observable(AB, {"alpha": 1, "beta": 1, 3: 1, "z": 1})

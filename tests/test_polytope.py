@@ -525,6 +525,18 @@ def test_classify_intermediate_patterns():
     assert classify(table([[0.8, -0.8], [0.8, 0.8]])) == SUPRA_QUANTUM
 
 
+def test_classify_keeps_the_band_edge_in_the_quantum_band():
+    # Every form value is a sum of four terms of magnitude a; at this a the
+    # largest is the band edge itself, and one ulp more leaves the band.
+    edge = TSIRELSON_BOUND + DEFAULT_TOL
+    a = edge / 4
+    at_edge = table([[a, a], [a, -a]])
+    assert bell_value_all_forms(at_edge) == edge
+    assert classify(at_edge) == QUANTUM_ACHIEVABLE
+    b = math.nextafter(a, 1.0)
+    assert classify(table([[b, b], [b, -b]])) == SUPRA_QUANTUM
+
+
 def test_classify_uses_the_exact_slack_at_the_facet():
     # The plain float sum of E00 + E01 + E10 - E11 rounds 2 + 2**-54 to 2.0;
     # the exact slack is negative, so the table is not classical.
