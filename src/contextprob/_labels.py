@@ -3,14 +3,15 @@ errors both give, and the one way a message shows what it was given.
 
 ``distinct_labels`` checks labels once and returns them as ``Labels``, a
 tuple that knows each label's position. ``Labels`` are returned unchanged by
-a later check. Every label lookup in the package is ``Labels.index_of``, and
-every error that names known labels lists them by ``listing``: at most 20,
-then how many more, so a message stays short at any basis size. Every label
-or given value that an error or warning of the package shows (a file line, a
-flag, a JSON field, a number) is shown by ``shown``: its repr, cut in the
-middle past 60 characters, so a message stays short at any input size too.
-A numpy scalar is shown as the Python value it holds, so a message reads
-the same under numpy 1 and 2.
+a later check. Every lookup that reports an unknown label is
+``Labels.index_of``; a membership test or a bulk lookup reads
+``Labels.positions`` directly. Every error that names known labels lists
+them by ``listing``: at most 20, then how many more, so a message stays
+short at any basis size. Every label or given value that an error or
+warning of the package shows (a file line, a flag, a JSON field, a number)
+is shown by ``shown``: its repr, cut in the middle past 60 characters, so a
+message stays short at any input size too. A numpy scalar is shown as the
+Python value it holds, so a message reads the same under numpy 1 and 2.
 No other module formats a message by repr.
 ``same_labels`` is the one check that two objects share a basis, and
 ``label_pair`` the one check of a (left, right) pair. A string given for a

@@ -82,7 +82,7 @@ def _cmd_ratings(args):
         return tsv
     return {
         "context": context,
-        "typicalities": {x: dist.probability(x) for x in table.exemplars},
+        "typicalities": dist.probabilities,
         "ranking": ranking,
     }
 

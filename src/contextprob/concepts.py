@@ -84,9 +84,8 @@ class ContextDistribution:
     Probabilities are kept in insertion order, sum to one within
     ``DEFAULT_TOL``, and are clamped into [0, 1] after an equally tight range
     check, so that floating-point dust from upstream arithmetic never leaks
-    out. They are kept as a float list and a read-only float array in
-    exemplar order; the ``probabilities`` dict is built from those on first
-    read and kept.
+    out. They are kept as one read-only float array in exemplar order; the
+    ``probabilities`` dict is built from it on first read and kept.
     """
 
     context: str
@@ -101,7 +100,7 @@ class ContextDistribution:
         labels = distinct_labels(given, "exemplar")
         probs = as_array(list(given.values()), "real", "probability", {"exemplar": labels})
         self._set(labels, probs)
-        object.__delattr__(self, "probabilities")  # rebuilt from the checked list
+        object.__delattr__(self, "probabilities")  # rebuilt from the checked array
 
     @classmethod
     def _from_arrays(cls, context: str, labels: Labels, p: np.ndarray) -> ContextDistribution:
@@ -118,13 +117,12 @@ class ContextDistribution:
         if bad.size:
             i = bad[0]
             raise ValueError(f"probability for {shown(labels[i])} out of range: {shown(p[i])}")
-        probs = np.clip(p, 0.0, 1.0, out=p).tolist()
-        total = sum(probs)
+        # The sum check reads Python's float sum, not numpy's pairwise one.
+        total = sum(np.clip(p, 0.0, 1.0, out=p).tolist())
         if abs(total - 1.0) > DEFAULT_TOL:
             raise ValueError(f"probabilities sum to {shown(total)}, expected 1")
         p.flags.writeable = False
         object.__setattr__(self, "_exemplars", labels)
-        object.__setattr__(self, "_probs", probs)
         object.__setattr__(self, "_p", p)
 
     def __getattr__(self, name: str):
@@ -133,7 +131,7 @@ class ContextDistribution:
             raise AttributeError(
                 f"'{type(self).__name__}' object has no attribute '{name}'", name=name, obj=self
             )
-        probabilities = dict(zip(self._exemplars, self._probs))
+        probabilities = dict(zip(self._exemplars, self._p.tolist()))
         object.__setattr__(self, "probabilities", probabilities)
         return probabilities
 
@@ -142,7 +140,7 @@ class ContextDistribution:
         return self._exemplars
 
     def probability(self, exemplar: str) -> float:
-        return self._probs[self._exemplars.index_of(exemplar, "exemplar")]
+        return float(self._p[self._exemplars.index_of(exemplar, "exemplar")])
 
 
 def parse_ratings(text: str) -> RatingTable:
@@ -226,5 +224,5 @@ def typicality(table: RatingTable, context: str, exemplar: str) -> float:
 
 def rank_exemplars(table: RatingTable, context: str) -> list[str]:
     """Exemplars from most to least typical; ties break alphabetically."""
-    dist = context_distribution(table, context)
-    return sorted(table.exemplars, key=lambda x: (-dist.probability(x), x))
+    p = context_distribution(table, context)._p
+    return [x for _, x in sorted(zip((-p).tolist(), table.exemplars))]

@@ -60,7 +60,8 @@ class Projector:
     """Diagonal 0/1 projector keeping the amplitudes in ``support``.
 
     An empty support is the zero projector; it is allowed but cannot be
-    used to collapse a state.
+    used to collapse a state. The support is also kept as a read-only bool
+    mask in basis order.
     """
 
     basis: tuple[str, ...]
@@ -68,12 +69,20 @@ class Projector:
 
     def __post_init__(self) -> None:
         basis = distinct_labels(self.basis, "basis")
-        support = frozenset(label_items(self.support, "support"))
-        stray = sorted(support.difference(basis.positions), key=repr)
+        support = label_items(self.support, "support")
+        # An entry that is no basis label, an unhashable one too, is a stray;
+        # each is shown once, in the order of its repr.
+        stray = [x for x in support if not (isinstance(x, str) and x in basis.positions)]
         if stray:
+            once = dict(zip(map(repr, stray), stray))
+            stray = [once[k] for k in sorted(once)]
             raise ValueError(f"projector support not in basis: [{listing(stray)}]")
+        support = frozenset(support)
+        mask = np.fromiter((x in support for x in basis), dtype=bool, count=len(basis))
+        mask.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "support", support)
+        object.__setattr__(self, "_mask", mask)
 
 
 def identity_projector(basis: Sequence[str]) -> Projector:
@@ -181,23 +190,23 @@ def tensor(u: StateVector, v: StateVector) -> EntangledState:
     return EntangledState._from_arrays(u.basis, v.basis, rows, cols, amps[kept])
 
 
+def _mass(mask: np.ndarray, state: StateVector) -> float:
+    """The squared moduli of the amplitudes where ``mask`` holds, summed in
+    basis order and clamped into [0, 1]."""
+    p = float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
+    return min(max(p, 0.0), 1.0)
+
+
 def born_prob(proj: Projector, state: StateVector) -> float:
     """Probability of the outcome ``proj`` keeps, for a given state."""
     same_labels(proj.basis, state.basis, "basis mismatch in born_prob")
-    mask = np.fromiter(
-        (x in proj.support for x in state.basis), dtype=bool, count=state.dim
-    )
-    p = float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
-    return min(max(p, 0.0), 1.0)
+    return _mass(proj._mask, state)
 
 
 def collapse(proj: Projector, state: StateVector) -> StateVector:
     """Project a state onto ``proj``'s support and renormalize."""
     same_labels(proj.basis, state.basis, "basis mismatch in collapse")
-    mask = np.fromiter(
-        (x in proj.support for x in state.basis), dtype=bool, count=state.dim
-    )
-    kept = np.where(mask, state.amplitudes, 0.0)
+    kept = np.where(proj._mask, state.amplitudes, 0.0)
     if float(np.sum(np.abs(kept) ** 2)) <= DEFAULT_TOL:
         raise ValueError(
             f"cannot collapse: state has no amplitude on [{listing(sorted(proj.support))}]"
@@ -208,9 +217,9 @@ def collapse(proj: Projector, state: StateVector) -> StateVector:
 def expectation(obs: Observable, state: StateVector) -> float:
     """Mean outcome of a +1/-1 observable.
 
-    Computed as the difference of the two Born probabilities, so it agrees
-    with them exactly, term for term.
+    Computed as the difference of the Born probabilities of the +1 and the
+    -1 labels, so it agrees with ``born_prob`` on ``sign_projectors(obs)``
+    exactly, term for term.
     """
     same_labels(obs.basis, state.basis, "basis mismatch in expectation")
-    plus, minus = sign_projectors(obs)
-    return born_prob(plus, state) - born_prob(minus, state)
+    return _mass(obs._signs > 0, state) - _mass(obs._signs < 0, state)

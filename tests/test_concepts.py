@@ -354,6 +354,26 @@ def test_ranking_breaks_ties_alphabetically():
     assert rank_exemplars(table, "c1") == ["top", "zig", "ant"]
 
 
+def test_ranking_and_reads_match_the_per_exemplar_route_bit_for_bit():
+    # Tied and zero ratings, against the sort by (-probability, label) and the
+    # clipped float list that distributions kept beside their array.
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 5, 40):
+        labels = tuple(f"e{i:02d}" for i in rng.permutation(n))
+        ratings = rng.choice([0.0, 0.0, 1.0, 2.5, 2.5, rng.random()], size=(n, 2))
+        ratings[0] = 3.0
+        table = RatingTable(labels, ("c0", "c1"), ratings)
+        for context in table.contexts:
+            col = table.column(context)
+            want = np.clip(col / col.sum(), 0.0, 1.0).tolist()
+            ranked = sorted(labels, key=lambda x: (-want[labels.index(x)], x))
+            assert rank_exemplars(table, context) == ranked
+            dist = context_distribution(table, context)
+            for x, q in zip(labels, want):
+                assert dist.probability(x).hex() == dist.probabilities[x].hex() == q.hex()
+            assert list(dist.probabilities) == list(labels)
+
+
 # ----------------------------------------------------------------- properties
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from contextprob._tolerance import DEFAULT_TOL
 from contextprob.hilbert import (
     Observable,
     Projector,
@@ -167,6 +168,21 @@ def test_projector_support_must_be_in_basis():
 def test_projector_names_stray_labels_of_mixed_types():
     with pytest.raises(ValueError, match=r"support not in basis: \['x', 1\]"):
         Projector(AB, frozenset({1, "x"}))
+    # An unhashable entry is a stray too, not a TypeError, and shown once.
+    with pytest.raises(ValueError, match=r"^projector support not in basis: \[\['a'\]\]$"):
+        Projector(("a", "b"), [["a"], "b", ["a"]])
+
+
+def test_projector_mask_is_its_support_in_basis_order_and_read_only():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 17):
+        labels = tuple(f"x{i}" for i in range(n))
+        keep = frozenset(x for x in labels if rng.random() < 0.5)
+        proj = Projector(labels, keep)
+        assert proj._mask.tolist() == [x in keep for x in labels]
+        assert not proj._mask.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            proj._mask[0] = not proj._mask[0]
 
 
 def test_identity_projector_covers_basis():
@@ -423,6 +439,46 @@ def test_expectation_equals_born_difference_exactly():
         obs = Observable(labels, signs)
         plus, minus = sign_projectors(obs)
         assert expectation(obs, state) == born_prob(plus, state) - born_prob(minus, state)
+
+
+def _scan_mask(proj, state):
+    """The label scan that built each call's mask before projectors kept one."""
+    return np.fromiter((x in proj.support for x in state.basis), dtype=bool, count=state.dim)
+
+
+def _scan_born_prob(proj, state):
+    p = float(np.sum(np.abs(state.amplitudes[_scan_mask(proj, state)]) ** 2))
+    return min(max(p, 0.0), 1.0)
+
+
+def _scan_collapse(proj, state):
+    kept = np.where(_scan_mask(proj, state), state.amplitudes, 0.0)
+    if float(np.sum(np.abs(kept) ** 2)) <= DEFAULT_TOL:
+        raise ValueError("cannot collapse")
+    return normalize(state.basis, kept)
+
+
+def test_masked_born_reads_match_the_label_scan_bit_for_bit():
+    rng = np.random.default_rng(22)
+    for n in [1, 2, 3, 50, *rng.integers(1, 51, size=30)]:
+        labels = tuple(f"x{i}" for i in rng.permutation(n))
+        state = normalize(labels, rng.normal(size=n) + 1j * rng.normal(size=n))
+        picked = frozenset(x for x in labels if rng.random() < rng.random())
+        for keep in (frozenset(), frozenset(labels), picked):
+            proj = Projector(labels, keep)
+            assert born_prob(proj, state).hex() == _scan_born_prob(proj, state).hex()
+            try:
+                want = _scan_collapse(proj, state)
+            except ValueError:
+                with pytest.raises(ValueError, match="no amplitude"):
+                    collapse(proj, state)
+                continue
+            got = collapse(proj, state).amplitudes.view(float).tolist()
+            assert [x.hex() for x in got] == [x.hex() for x in want.amplitudes.view(float).tolist()]
+        signs = {x: 1 if x in picked else -1 for x in labels}
+        plus, minus = Projector(labels, picked), Projector(labels, frozenset(labels) - picked)
+        want = _scan_born_prob(plus, state) - _scan_born_prob(minus, state)
+        assert expectation(Observable(labels, signs), state).hex() == want.hex()
 
 
 # ----------------------------------------------------------------- properties
