@@ -73,7 +73,7 @@ def _cmd_ratings(args):
     table = _inputs.parse(args.table, concepts.parse_ratings, record=args.inputs)
     context = _resolve_context(table, args.context)
     dist = concepts.context_distribution(table, context)
-    ranking = concepts.rank_exemplars(table, context)
+    ranking = concepts._ranking(dist)
     if args.format == "tsv":
         tsv = ["rank\texemplar\ttypicality"]
         tsv += [

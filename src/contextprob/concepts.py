@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -112,13 +112,8 @@ class ContextDistribution:
         return dist
 
     def _set(self, labels: Labels, p: np.ndarray) -> None:
-        # NaN fails both comparisons, so it is reported as out of range.
-        bad = np.flatnonzero(~((p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)))
-        if bad.size:
-            i = bad[0]
-            raise ValueError(f"probability for {shown(labels[i])} out of range: {shown(p[i])}")
         # The sum check reads Python's float sum, not numpy's pairwise one.
-        total = sum(np.clip(p, 0.0, 1.0, out=p).tolist())
+        total = sum(_clamped(labels, p).tolist())
         if abs(total - 1.0) > DEFAULT_TOL:
             raise ValueError(f"probabilities sum to {shown(total)}, expected 1")
         p.flags.writeable = False
@@ -141,6 +136,17 @@ class ContextDistribution:
 
     def probability(self, exemplar: str) -> float:
         return float(self._p[self._exemplars.index_of(exemplar, "exemplar")])
+
+
+def _clamped(labels: Sequence[str], p: np.ndarray) -> np.ndarray:
+    """``p``, the probabilities of ``labels``, clamped into [0, 1] in place
+    once each is within ``DEFAULT_TOL`` of that range."""
+    # NaN fails both comparisons, so it is reported as out of range.
+    bad = np.flatnonzero(~((p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"probability for {shown(labels[i])} out of range: {shown(p[i])}")
+    return np.clip(p, 0.0, 1.0, out=p)
 
 
 def parse_ratings(text: str) -> RatingTable:
@@ -224,5 +230,10 @@ def typicality(table: RatingTable, context: str, exemplar: str) -> float:
 
 def rank_exemplars(table: RatingTable, context: str) -> list[str]:
     """Exemplars from most to least typical; ties break alphabetically."""
-    p = context_distribution(table, context)._p
-    return [x for _, x in sorted(zip((-p).tolist(), table.exemplars))]
+    return _ranking(context_distribution(table, context))
+
+
+def _ranking(dist: ContextDistribution) -> list[str]:
+    """A distribution's exemplars from most to least probable; ties break
+    alphabetically."""
+    return [x for _, x in sorted(zip((-dist._p).tolist(), dist.exemplars))]

@@ -26,7 +26,7 @@ import numpy as np
 from . import _inputs
 from ._labels import Labels, distinct_labels, label_pair, listing, same_labels, shown
 from ._tolerance import DEFAULT_TOL, as_number
-from .concepts import ContextDistribution
+from .concepts import ContextDistribution, _clamped
 from .hilbert import Observable
 
 
@@ -60,29 +60,30 @@ class CompatibilityRelation:
         return tuple(left), tuple(right), li, ri
 
     def _positions(self, basis_a: Labels, basis_b: Labels) -> tuple[np.ndarray, np.ndarray]:
-        """Each pair's position in ``basis_a`` and in ``basis_b``.
+        """Each pair's position in ``basis_a`` and in ``basis_b``, as two
+        read-only arrays.
 
-        The positions of the distinct labels in the last two bases asked
-        for are kept as one entry, found again by the identity of those
-        bases, since ``Labels`` never change. An unknown label is a
-        ValueError naming the first one, pair by pair.
+        The arrays for the last two bases asked for are kept as one entry,
+        found again by the identity of those bases, since ``Labels`` never
+        change. An unknown label is a ValueError naming the first one, pair
+        by pair.
         """
-        left, right, li, ri = self._index
         last = self._last
         if last is not None and last[0] is basis_a and last[1] is basis_b:
-            at_a, at_b = last[2], last[3]
-        else:
-            pos_a, pos_b = basis_a.positions, basis_b.positions
-            at_a = [pos_a.get(x, -1) for x in left]
-            at_b = [pos_b.get(y, -1) for y in right]
-            if -1 in at_a or -1 in at_b:
-                for x, y in self.pairs:
-                    basis_a.index_of(x, "exemplar")
-                    basis_b.index_of(y, "exemplar")
-            at_a, at_b = np.array(at_a, dtype=np.intp), np.array(at_b, dtype=np.intp)
-            at_a.flags.writeable = at_b.flags.writeable = False
-            object.__setattr__(self, "_last", (basis_a, basis_b, at_a, at_b))
-        return at_a[li], at_b[ri]
+            return last[2], last[3]
+        left, right, li, ri = self._index
+        pos_a, pos_b = basis_a.positions, basis_b.positions
+        at_a = [pos_a.get(x, -1) for x in left]
+        at_b = [pos_b.get(y, -1) for y in right]
+        if -1 in at_a or -1 in at_b:
+            for x, y in self.pairs:
+                basis_a.index_of(x, "exemplar")
+                basis_b.index_of(y, "exemplar")
+        rows = np.array(at_a, dtype=np.intp)[li]
+        cols = np.array(at_b, dtype=np.intp)[ri]
+        rows.flags.writeable = cols.flags.writeable = False
+        object.__setattr__(self, "_last", (basis_a, basis_b, rows, cols))
+        return rows, cols
 
 
 def full_relation(left: tuple[str, ...], right: tuple[str, ...]) -> CompatibilityRelation:
@@ -156,14 +157,16 @@ class EntangledState:
         )
 
     @classmethod
-    def _from_arrays(cls, basis_a, basis_b, rows, cols, amps) -> EntangledState:
-        """A state from checked bases and support arrays with no zero amplitude."""
+    def _from_arrays(cls, basis_a, basis_b, rows, cols, amps, probs=None) -> EntangledState:
+        """A state from checked bases and support arrays with no zero
+        amplitude; ``probs``, when given, holds the squared moduli."""
         state = object.__new__(cls)
-        state._set(basis_a, basis_b, rows, cols, amps)
+        state._set(basis_a, basis_b, rows, cols, amps, probs)
         return state
 
-    def _set(self, basis_a, basis_b, rows, cols, amps) -> None:
-        probs = np.abs(amps) ** 2
+    def _set(self, basis_a, basis_b, rows, cols, amps, probs=None) -> None:
+        if probs is None:
+            probs = np.abs(amps) ** 2
         norm_sq = float(np.sum(probs))
         if not abs(norm_sq - 1.0) <= DEFAULT_TOL:  # also refuses NaN
             raise ValueError(f"joint state is not normalized: squared norm {shown(norm_sq)}")
@@ -247,15 +250,18 @@ def combine(
     basis_a, basis_b = dist_a.exemplars, dist_b.exemplars
     rows, cols = relation._positions(basis_a, basis_b)
     weights = dist_a._p[rows] * dist_b._p[cols]
-    keep = weights > 0
-    if not keep.any():
+    kept = np.flatnonzero(weights > 0)
+    if not kept.size:
         raise ValueError(
             "concepts cannot be combined: no compatible pair has positive "
             "probability on both sides"
         )
-    weights = weights[keep]
-    amps = np.sqrt(weights / weights.sum()).astype(complex)
-    return EntangledState._from_arrays(basis_a, basis_b, rows[keep], cols[keep], amps)
+    weights = weights[kept]
+    moduli = np.sqrt(weights / weights.sum())
+    # |m + 0j| is m exactly, so m * m are the bits of np.abs(amps) ** 2.
+    return EntangledState._from_arrays(
+        basis_a, basis_b, rows[kept], cols[kept], moduli.astype(complex), moduli * moduli
+    )
 
 
 def joint_expectation(state: EntangledState, obs_a: Observable, obs_b: Observable) -> float:
@@ -286,7 +292,7 @@ def marginal(state: EntangledState, side: str) -> ContextDistribution:
 def conditional_collapse(state: EntangledState, side: str, exemplar: str) -> EntangledState:
     """Condition the joint state on one side's exemplar being observed."""
     basis, idx = _side(state, side)
-    kept = idx == basis.index_of(exemplar, "exemplar")
+    kept = np.flatnonzero(idx == basis.index_of(exemplar, "exemplar"))
     mass = float(np.sum(state._probs[kept]))
     if mass <= DEFAULT_TOL:
         raise ValueError(
@@ -319,5 +325,9 @@ def guppy_gap(
             f"exemplar {listing((exemplar,))} must appear in both bases; "
             f"side A has [{listing(a)}], side B has [{listing(b)}]"
         )
-    joint_p = marginal(state, "A").probability(exemplar)
+    # The exemplar's entry of marginal(state, "A"): its support probabilities
+    # summed in support order, as bincount sums them, and clamped as every
+    # distribution's entries are.
+    in_bin = state._probs[state._rows == a.positions[exemplar]]
+    joint_p = float(_clamped((exemplar,), np.cumsum(in_bin)[-1:])[0]) if in_bin.size else 0.0
     return joint_p - max(dist_a.probability(exemplar), dist_b.probability(exemplar))

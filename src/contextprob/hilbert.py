@@ -183,10 +183,13 @@ def tensor(u: StateVector, v: StateVector) -> EntangledState:
     amps = np.outer(u.amplitudes, v.amplitudes).reshape(-1)
     # Each factor is unit norm only within tolerance, so the product can
     # drift past the constructor gate; renormalize the (near-unit) result.
-    amps /= np.linalg.norm(amps)
-    kept = amps != 0  # a zero factor entry, or a product that underflowed
-    rows = np.repeat(np.arange(u.dim), v.dim)[kept]
-    cols = np.tile(np.arange(v.dim), u.dim)[kept]
+    # Scaling the real and imaginary parts by the reciprocal, in one real
+    # multiply, gives what numpy's complex division by a real gives, bit for
+    # bit apart from the sign of a zero part.
+    amps.view(np.float64)[...] *= 1.0 / np.linalg.norm(amps)
+    kept = np.flatnonzero(amps != 0)  # a zero factor entry, or a product that underflowed
+    rows = kept // v.dim
+    cols = kept - rows * v.dim
     return EntangledState._from_arrays(u.basis, v.basis, rows, cols, amps[kept])
 
 

@@ -302,6 +302,18 @@ def test_guppy_gap_can_be_negative(capsys, tmp_path):
     assert results["guppy_effect"] is False
 
 
+@pytest.mark.parametrize("exemplar", ["guppy", "goldfish"])
+@pytest.mark.parametrize("pairs", ["guppy\tguppy\ngoldfish\tgoldfish\n", "guppy\tguppy\n", "cat\tshark\n"])
+def test_guppy_gap_is_the_marginal_minus_the_larger_typicality(capsys, tmp_path, pairs, exemplar):
+    relation = tmp_path / "pairs.tsv"
+    relation.write_text(pairs)
+    results = run_report(capsys, guppy_argv(str(relation), exemplar))["results"]
+    larger = max(results["typicality_a"], results["typicality_b"])
+    assert results["gap"] == results["combined_marginal"] - larger
+    if f"{exemplar}\t" not in pairs:  # outside the support
+        assert results["combined_marginal"] == 0.0 and results["gap"] == -larger
+
+
 def test_guppy_missing_relation_file(capsys, tmp_path):
     code, _, err = run(capsys, guppy_argv(str(tmp_path / "nope.tsv")))
     assert code == 1

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contextprob._tolerance import DEFAULT_TOL
 from contextprob.concepts import ContextDistribution, RatingTable, context_distribution
 from contextprob.entangle import (
     CompatibilityRelation,
@@ -21,7 +22,7 @@ from contextprob.entangle import (
     parse_relation,
 )
 from contextprob.fixtures import fixture_path
-from contextprob.hilbert import Observable
+from contextprob.hilbert import Observable, StateVector, tensor
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -662,3 +663,220 @@ def test_joint_expectation_matches_the_sign_lookup_bit_for_bit():
         sb = np.array([obs_b.signs[y] for y in state.basis_b], dtype=float)
         want = min(max(float(np.dot(sa[state._rows] * sb[state._cols], state._probs)), -1.0), 1.0)
         assert joint_expectation(state, obs_a, obs_b).hex() == want.hex()
+
+
+# ---------------------------------- the parent routes, as bit-for-bit references
+#
+# The joint-state kernels once made more full passes over their arrays:
+# complex division, repeat/tile with boolean masks, np.abs(amps) ** 2, the
+# per-call position gathers and a whole marginal for guppy_gap. Those routes
+# are kept here, and the kernels must give their bits.
+
+
+def parent_tensor(u, v):
+    amps = np.outer(u.amplitudes, v.amplitudes).reshape(-1)
+    amps /= np.linalg.norm(amps)
+    kept = amps != 0
+    rows = np.repeat(np.arange(u.dim), v.dim)[kept]
+    cols = np.tile(np.arange(v.dim), u.dim)[kept]
+    return rows, cols, amps[kept], np.abs(amps[kept]) ** 2
+
+
+def parent_positions(relation, basis_a, basis_b):
+    left, right, li, ri = relation._index
+    at_a = np.array([basis_a.positions[x] for x in left], dtype=np.intp)
+    at_b = np.array([basis_b.positions[y] for y in right], dtype=np.intp)
+    return at_a[li], at_b[ri]
+
+
+def parent_combine(dist_a, dist_b, relation):
+    rows, cols = parent_positions(relation, dist_a.exemplars, dist_b.exemplars)
+    weights = dist_a._p[rows] * dist_b._p[cols]
+    keep = weights > 0
+    weights = weights[keep]
+    amps = np.sqrt(weights / weights.sum()).astype(complex)
+    return rows[keep], cols[keep], amps, np.abs(amps) ** 2
+
+
+def parent_collapse_amps(state, side, exemplar):
+    idx = state._rows if side == "A" else state._cols
+    basis = state.basis_a if side == "A" else state.basis_b
+    kept = idx == basis.positions[exemplar]
+    mass = float(np.sum(state._probs[kept]))
+    return state._amps[kept] / math.sqrt(mass) if mass > DEFAULT_TOL else None
+
+
+def parent_guppy_gap(state, dist_a, dist_b, exemplar):
+    joint_p = marginal(state, "A").probability(exemplar)
+    return joint_p - max(dist_a.probability(exemplar), dist_b.probability(exemplar))
+
+
+def state_arrays(state):
+    return state._rows, state._cols, state._amps, state._probs
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def overlapping_distributions(rng, n, zero_frac):
+    """Two distributions over overlapping exemplars, with exact zeros and a
+    few 1e-200 entries whose products underflow to zero."""
+    pool = [f"e{i}" for i in range(n + n // 2)]
+    sides = []
+    for prefix, labels in (("a", pool[:n]), ("b", pool[n // 2 :])):
+        p = rng.uniform(0.05, 5.0, n) * (rng.random(n) >= zero_frac)
+        p[rng.random(n) < 0.05] = 1e-200
+        p[0] = max(p[0], 1.0)  # at least one entry a product cannot lose
+        order = rng.permutation(n)
+        probs = (p / p.sum())[order]
+        sides.append(ContextDistribution(prefix, dict(zip(np.array(labels)[order].tolist(), probs.tolist()))))
+    return sides
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_combine_and_its_readers_give_the_parent_bits(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    pa, pb = overlapping_distributions(rng, n, zero_frac=(0.0, 0.1, 0.5)[seed % 3])
+    full = full_relation(pa.exemplars, pb.exemplars)
+    partial = CompatibilityRelation(
+        tuple(p for p in full.pairs if rng.random() < 0.3) or full.pairs[:1]
+    )
+    for relation in (full, partial, full, partial):  # first and cached calls
+        want = parent_combine(pa, pb, relation)
+        if not want[0].size:
+            with pytest.raises(ValueError, match="cannot be combined"):
+                combine(pa, pb, relation)
+            continue
+        state = combine(pa, pb, relation)
+        assert_same_bits(state_arrays(state), want)
+        for side in ("A", "B"):
+            basis = state.basis_a if side == "A" else state.basis_b
+            for exemplar in {basis[i] for i in (state._rows if side == "A" else state._cols)}:
+                want = parent_collapse_amps(state, side, exemplar)
+                if want is None:  # the mass of a 1e-200 entry
+                    with pytest.raises(ValueError, match="marginal probability is zero"):
+                        conditional_collapse(state, side, exemplar)
+                    continue
+                got = conditional_collapse(state, side, exemplar)
+                assert_same_bits((got._amps,), (want,))
+        for exemplar in set(pa.exemplars) & set(pb.exemplars):
+            got = guppy_gap(state, pa, pb, exemplar)
+            assert got.hex() == parent_guppy_gap(state, pa, pb, exemplar).hex()
+
+
+def complex_state(rng, prefix, n, zeros, real=False):
+    """A state whose real and imaginary parts are negative, positive or an
+    exact zero drawn from ``zeros``; every imaginary part is 0.0 if ``real``."""
+    parts = rng.choice([-1.0, 0.0, 1.0], 2 * n) * rng.uniform(0.1, 1.0, 2 * n)
+    at_zero = parts == 0
+    parts[at_zero] = rng.choice(zeros, at_zero.sum())
+    if real:
+        parts[1::2] = 0.0
+    if not parts.any():
+        parts[0] = 1.0
+    amps = parts.view(complex)
+    amps /= np.linalg.norm(amps)
+    return StateVector(tuple(f"{prefix}{i}" for i in range(n)), amps)
+
+
+def signless_zero_bits(amps):
+    """The bits of every real and imaginary part, a -0.0 read as 0.0."""
+    return (amps.view(np.float64) + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tensor_gives_the_parent_bits(seed):
+    rng = np.random.default_rng(seed)
+    n_a, n_b = (int(k) for k in rng.integers(1, 40, size=2))
+    real = [complex_state(rng, "a", n_a, [0.0], True), complex_state(rng, "b", n_b, [0.0], True)]
+    for u, v in [real, real[::-1]]:  # real states, negative parts included: every bit
+        assert_same_bits(state_arrays(tensor(u, v)), parent_tensor(u, v))
+    for zeros in ([0.0], [0.0, -0.0]):  # complex states: every bit but a zero's sign
+        u, v = complex_state(rng, "a", n_a, zeros), complex_state(rng, "b", n_b, zeros)
+        got, want = state_arrays(tensor(u, v)), parent_tensor(u, v)
+        assert_same_bits((got[0], got[1], got[3]), (want[0], want[1], want[3]))
+        assert signless_zero_bits(got[2]) == signless_zero_bits(want[2])
+
+
+def test_tensor_keeps_the_parent_bits_where_a_product_underflows():
+    # small * small is 0.0 for 1e-200 and a subnormal for 1e-160.
+    for small, support in ((1e-200, 8), (1e-160, 9)):
+        u = StateVector(("p", "q", "r"), [0.6, small, -0.8])
+        v = StateVector(("s", "t"), [complex(small, -small), 1.0])
+        for x, y in ((u, u), (u, v), (v, u)):
+            assert_same_bits(state_arrays(tensor(x, y)), parent_tensor(x, y))
+        assert len(tensor(u, u).amplitudes) == support
+
+
+def test_tensor_differs_from_complex_division_only_in_the_sign_of_a_zero_part():
+    # (-1j) * (-1j) multiplies out to -1 - 0j; complex division by the norm
+    # turned that -0.0 into 0.0, scaling by the reciprocal keeps it.
+    u = StateVector(("p",), [complex(0.0, -1.0)])
+    v = StateVector(("q",), [complex(0.0, -1.0)])
+    got, want = tensor(u, v)._amps[0], parent_tensor(u, v)[2][0]
+    assert got == want == -1
+    assert math.copysign(1.0, got.imag) == -1.0 and math.copysign(1.0, want.imag) == 1.0
+
+
+# ------------------------------------------- the per-pair positions, cached
+
+
+def test_the_relation_keeps_read_only_pair_positions_for_the_last_two_bases():
+    rng = np.random.default_rng(5)
+    pa, pb, relation, _, _ = benchmark_shape(rng, 30, 4)
+    assert relation._last is None  # built by the first combine, not the constructor
+    combine(pa, pb, relation)
+    basis_a, basis_b, rows, cols = relation._last
+    assert basis_a is pa.exemplars and basis_b is pb.exemplars
+    for arr, want in zip((rows, cols), parent_positions(relation, pa.exemplars, pb.exemplars)):
+        assert arr.dtype == np.intp and arr.shape == (len(relation.pairs),)
+        assert not arr.flags.writeable
+        assert arr.tobytes() == want.tobytes()
+    kept = relation._last
+    combine(pa, pb, relation)
+    assert relation._last is kept
+    assert relation._positions(pa.exemplars, pb.exemplars)[0] is rows
+
+    # Equal labels in new Labels objects: the positions are looked up again.
+    pb_copy = ContextDistribution("b", dict(pb.probabilities))
+    combine(pa, pb_copy, relation)
+    assert relation._last[1] is pb_copy.exemplars and relation._last[3] is not cols
+    assert relation._last[3].tobytes() == cols.tobytes()
+
+    # A call that fails on an unknown label keeps the entry it found.
+    kept = relation._last
+    short = ContextDistribution("b", {pb.exemplars[0]: 1.0})
+    with pytest.raises(ValueError, match="unknown exemplar") as cached:
+        combine(pa, short, relation)
+    assert relation._last is kept
+    with pytest.raises(ValueError) as first:
+        combine(pa, short, CompatibilityRelation(relation.pairs))
+    assert str(cached.value) == str(first.value)
+
+
+# ------------------------------------------------------- guppy_gap, one bin read
+
+
+def test_guppy_gap_outside_the_support_is_minus_the_larger_input():
+    pa = dist("a", guppy=0.1, goldfish=0.0, cat=0.9)
+    pb = dist("b", guppy=0.3, goldfish=0.2, shark=0.5)
+    state = combine(pa, pb, CompatibilityRelation((("guppy", "guppy"), ("cat", "shark"))))
+    assert ("goldfish", "goldfish") not in state.support
+    for exemplar in ("goldfish", "guppy"):
+        got = guppy_gap(state, pa, pb, exemplar)
+        assert got.hex() == parent_guppy_gap(state, pa, pb, exemplar).hex()
+    assert guppy_gap(state, pa, pb, "goldfish") == -0.2
+
+
+def test_guppy_gap_clamps_the_bin_as_a_distribution_entry():
+    # A squared norm of 1 + 5e-13 passes the state's gate; the bin is
+    # clamped to 1.0, as marginal's distribution clamps it.
+    pa, pb = dist("a", x=0.25, y=0.75), dist("b", x=0.5, z=0.5)
+    state = EntangledState(pa.exemplars, pb.exemplars, {("x", "x"): math.sqrt(1 + 5e-13)})
+    assert float(np.sum(state._probs)) > 1.0
+    got = guppy_gap(state, pa, pb, "x")
+    assert got.hex() == parent_guppy_gap(state, pa, pb, "x").hex() == (1.0 - 0.5).hex()

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from contextprob import concepts
 from contextprob.cli import main
 from contextprob.fixtures import fixture_path
 
@@ -104,6 +105,22 @@ def test_report_is_unchanged(golden, monkeypatch, case):
         assert_close(got, golden[case], SEMSPACE_ATOL)
     else:
         assert json.dumps(got, sort_keys=True) == json.dumps(golden[case], sort_keys=True)
+
+
+@pytest.mark.parametrize("case", ["ratings-record", "ratings-tsv"])
+def test_a_ratings_report_builds_its_distribution_once(golden, monkeypatch, case):
+    calls = []
+    build = concepts.context_distribution
+
+    def counted(table, context):
+        calls.append(context)
+        return build(table, context)
+
+    monkeypatch.setattr(concepts, "context_distribution", counted)
+    monkeypatch.chdir(FIXTURES)
+    got = report(CASES[case])
+    assert len(calls) == 1
+    assert json.dumps(got, sort_keys=True) == json.dumps(golden[case], sort_keys=True)
 
 
 if __name__ == "__main__":
