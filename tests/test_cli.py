@@ -303,7 +303,9 @@ def test_guppy_gap_can_be_negative(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("exemplar", ["guppy", "goldfish"])
-@pytest.mark.parametrize("pairs", ["guppy\tguppy\ngoldfish\tgoldfish\n", "guppy\tguppy\n", "cat\tshark\n"])
+@pytest.mark.parametrize(
+    "pairs", ["guppy\tguppy\ngoldfish\tgoldfish\n", "guppy\tguppy\n", "cat\tshark\n"]
+)
 def test_guppy_gap_is_the_marginal_minus_the_larger_typicality(capsys, tmp_path, pairs, exemplar):
     relation = tmp_path / "pairs.tsv"
     relation.write_text(pairs)

@@ -665,15 +665,16 @@ def test_joint_expectation_matches_the_sign_lookup_bit_for_bit():
         assert joint_expectation(state, obs_a, obs_b).hex() == want.hex()
 
 
-# ---------------------------------- the parent routes, as bit-for-bit references
+# ------------------------------- the earlier routes, as bit-for-bit references
 #
 # The joint-state kernels once made more full passes over their arrays:
 # complex division, repeat/tile with boolean masks, np.abs(amps) ** 2, the
 # per-call position gathers and a whole marginal for guppy_gap. Those routes
-# are kept here, and the kernels must give their bits.
+# are kept here, and the kernels must give their bits; tensor may differ only
+# in the sign of a zero part.
 
 
-def parent_tensor(u, v):
+def reference_tensor(u, v):
     amps = np.outer(u.amplitudes, v.amplitudes).reshape(-1)
     amps /= np.linalg.norm(amps)
     kept = amps != 0
@@ -682,15 +683,15 @@ def parent_tensor(u, v):
     return rows, cols, amps[kept], np.abs(amps[kept]) ** 2
 
 
-def parent_positions(relation, basis_a, basis_b):
+def reference_positions(relation, basis_a, basis_b):
     left, right, li, ri = relation._index
     at_a = np.array([basis_a.positions[x] for x in left], dtype=np.intp)
     at_b = np.array([basis_b.positions[y] for y in right], dtype=np.intp)
     return at_a[li], at_b[ri]
 
 
-def parent_combine(dist_a, dist_b, relation):
-    rows, cols = parent_positions(relation, dist_a.exemplars, dist_b.exemplars)
+def reference_combine(dist_a, dist_b, relation):
+    rows, cols = reference_positions(relation, dist_a.exemplars, dist_b.exemplars)
     weights = dist_a._p[rows] * dist_b._p[cols]
     keep = weights > 0
     weights = weights[keep]
@@ -698,7 +699,7 @@ def parent_combine(dist_a, dist_b, relation):
     return rows[keep], cols[keep], amps, np.abs(amps) ** 2
 
 
-def parent_collapse_amps(state, side, exemplar):
+def reference_collapse_amps(state, side, exemplar):
     idx = state._rows if side == "A" else state._cols
     basis = state.basis_a if side == "A" else state.basis_b
     kept = idx == basis.positions[exemplar]
@@ -706,7 +707,7 @@ def parent_collapse_amps(state, side, exemplar):
     return state._amps[kept] / math.sqrt(mass) if mass > DEFAULT_TOL else None
 
 
-def parent_guppy_gap(state, dist_a, dist_b, exemplar):
+def reference_guppy_gap(state, dist_a, dist_b, exemplar):
     joint_p = marginal(state, "A").probability(exemplar)
     return joint_p - max(dist_a.probability(exemplar), dist_b.probability(exemplar))
 
@@ -730,14 +731,14 @@ def overlapping_distributions(rng, n, zero_frac):
         p = rng.uniform(0.05, 5.0, n) * (rng.random(n) >= zero_frac)
         p[rng.random(n) < 0.05] = 1e-200
         p[0] = max(p[0], 1.0)  # at least one entry a product cannot lose
-        order = rng.permutation(n)
-        probs = (p / p.sum())[order]
-        sides.append(ContextDistribution(prefix, dict(zip(np.array(labels)[order].tolist(), probs.tolist()))))
+        order = rng.permutation(n).tolist()
+        probs = (p / p.sum())[order].tolist()
+        sides.append(ContextDistribution(prefix, dict(zip([labels[i] for i in order], probs))))
     return sides
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_combine_and_its_readers_give_the_parent_bits(seed):
+def test_combine_and_its_readers_give_the_reference_bits(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 60))
     pa, pb = overlapping_distributions(rng, n, zero_frac=(0.0, 0.1, 0.5)[seed % 3])
@@ -746,7 +747,7 @@ def test_combine_and_its_readers_give_the_parent_bits(seed):
         tuple(p for p in full.pairs if rng.random() < 0.3) or full.pairs[:1]
     )
     for relation in (full, partial, full, partial):  # first and cached calls
-        want = parent_combine(pa, pb, relation)
+        want = reference_combine(pa, pb, relation)
         if not want[0].size:
             with pytest.raises(ValueError, match="cannot be combined"):
                 combine(pa, pb, relation)
@@ -756,7 +757,7 @@ def test_combine_and_its_readers_give_the_parent_bits(seed):
         for side in ("A", "B"):
             basis = state.basis_a if side == "A" else state.basis_b
             for exemplar in {basis[i] for i in (state._rows if side == "A" else state._cols)}:
-                want = parent_collapse_amps(state, side, exemplar)
+                want = reference_collapse_amps(state, side, exemplar)
                 if want is None:  # the mass of a 1e-200 entry
                     with pytest.raises(ValueError, match="marginal probability is zero"):
                         conditional_collapse(state, side, exemplar)
@@ -765,7 +766,7 @@ def test_combine_and_its_readers_give_the_parent_bits(seed):
                 assert_same_bits((got._amps,), (want,))
         for exemplar in set(pa.exemplars) & set(pb.exemplars):
             got = guppy_gap(state, pa, pb, exemplar)
-            assert got.hex() == parent_guppy_gap(state, pa, pb, exemplar).hex()
+            assert got.hex() == reference_guppy_gap(state, pa, pb, exemplar).hex()
 
 
 def complex_state(rng, prefix, n, zeros, real=False):
@@ -789,26 +790,26 @@ def signless_zero_bits(amps):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_tensor_gives_the_parent_bits(seed):
+def test_tensor_gives_the_reference_bits(seed):
     rng = np.random.default_rng(seed)
     n_a, n_b = (int(k) for k in rng.integers(1, 40, size=2))
     real = [complex_state(rng, "a", n_a, [0.0], True), complex_state(rng, "b", n_b, [0.0], True)]
     for u, v in [real, real[::-1]]:  # real states, negative parts included: every bit
-        assert_same_bits(state_arrays(tensor(u, v)), parent_tensor(u, v))
+        assert_same_bits(state_arrays(tensor(u, v)), reference_tensor(u, v))
     for zeros in ([0.0], [0.0, -0.0]):  # complex states: every bit but a zero's sign
         u, v = complex_state(rng, "a", n_a, zeros), complex_state(rng, "b", n_b, zeros)
-        got, want = state_arrays(tensor(u, v)), parent_tensor(u, v)
+        got, want = state_arrays(tensor(u, v)), reference_tensor(u, v)
         assert_same_bits((got[0], got[1], got[3]), (want[0], want[1], want[3]))
         assert signless_zero_bits(got[2]) == signless_zero_bits(want[2])
 
 
-def test_tensor_keeps_the_parent_bits_where_a_product_underflows():
+def test_tensor_keeps_the_reference_bits_where_a_product_underflows():
     # small * small is 0.0 for 1e-200 and a subnormal for 1e-160.
     for small, support in ((1e-200, 8), (1e-160, 9)):
         u = StateVector(("p", "q", "r"), [0.6, small, -0.8])
         v = StateVector(("s", "t"), [complex(small, -small), 1.0])
         for x, y in ((u, u), (u, v), (v, u)):
-            assert_same_bits(state_arrays(tensor(x, y)), parent_tensor(x, y))
+            assert_same_bits(state_arrays(tensor(x, y)), reference_tensor(x, y))
         assert len(tensor(u, u).amplitudes) == support
 
 
@@ -817,7 +818,7 @@ def test_tensor_differs_from_complex_division_only_in_the_sign_of_a_zero_part():
     # turned that -0.0 into 0.0, scaling by the reciprocal keeps it.
     u = StateVector(("p",), [complex(0.0, -1.0)])
     v = StateVector(("q",), [complex(0.0, -1.0)])
-    got, want = tensor(u, v)._amps[0], parent_tensor(u, v)[2][0]
+    got, want = tensor(u, v)._amps[0], reference_tensor(u, v)[2][0]
     assert got == want == -1
     assert math.copysign(1.0, got.imag) == -1.0 and math.copysign(1.0, want.imag) == 1.0
 
@@ -832,7 +833,7 @@ def test_the_relation_keeps_read_only_pair_positions_for_the_last_two_bases():
     combine(pa, pb, relation)
     basis_a, basis_b, rows, cols = relation._last
     assert basis_a is pa.exemplars and basis_b is pb.exemplars
-    for arr, want in zip((rows, cols), parent_positions(relation, pa.exemplars, pb.exemplars)):
+    for arr, want in zip((rows, cols), reference_positions(relation, pa.exemplars, pb.exemplars)):
         assert arr.dtype == np.intp and arr.shape == (len(relation.pairs),)
         assert not arr.flags.writeable
         assert arr.tobytes() == want.tobytes()
@@ -868,7 +869,7 @@ def test_guppy_gap_outside_the_support_is_minus_the_larger_input():
     assert ("goldfish", "goldfish") not in state.support
     for exemplar in ("goldfish", "guppy"):
         got = guppy_gap(state, pa, pb, exemplar)
-        assert got.hex() == parent_guppy_gap(state, pa, pb, exemplar).hex()
+        assert got.hex() == reference_guppy_gap(state, pa, pb, exemplar).hex()
     assert guppy_gap(state, pa, pb, "goldfish") == -0.2
 
 
@@ -879,4 +880,4 @@ def test_guppy_gap_clamps_the_bin_as_a_distribution_entry():
     state = EntangledState(pa.exemplars, pb.exemplars, {("x", "x"): math.sqrt(1 + 5e-13)})
     assert float(np.sum(state._probs)) > 1.0
     got = guppy_gap(state, pa, pb, "x")
-    assert got.hex() == parent_guppy_gap(state, pa, pb, "x").hex() == (1.0 - 0.5).hex()
+    assert got.hex() == reference_guppy_gap(state, pa, pb, "x").hex() == (1.0 - 0.5).hex()
