@@ -151,16 +151,8 @@ def _cmd_sweep(args):
             for pt in points
         ]
         return tsv
-    return {
-        "points": [
-            {
-                "odd_event_probability": pt.odd_event_probability,
-                "bell_value": pt.bell_value,
-                "violated": pt.violated,
-            }
-            for pt in points
-        ]
-    }
+    # A SweepPoint's instance dict holds exactly its three fields.
+    return {"points": [vars(pt) for pt in points]}
 
 
 def _cmd_guppy(args):
@@ -390,8 +382,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         lines = [json.dumps(report, indent=2, sort_keys=True)]
     try:
-        sys.stdout.write("\n".join(lines) + "\n")
-        sys.stdout.flush()
+        print("\n".join(lines), flush=True)
     except BrokenPipeError:
         # The reader closed the pipe (say, `| head`). Send the rest to
         # devnull so the flush at interpreter exit does not fail again.

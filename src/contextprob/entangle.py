@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,18 +46,6 @@ class CompatibilityRelation:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_last", None)
 
-    @cached_property
-    def _index(self) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
-        """Distinct left and right labels, first seen first, and each pair's
-        positions in them. Built on first use and kept."""
-        left: dict[str, int] = {}
-        right: dict[str, int] = {}
-        n = len(self.pairs)
-        li = np.fromiter((left.setdefault(a, len(left)) for a, _ in self.pairs), np.intp, n)
-        ri = np.fromiter((right.setdefault(b, len(right)) for _, b in self.pairs), np.intp, n)
-        li.flags.writeable = ri.flags.writeable = False
-        return tuple(left), tuple(right), li, ri
-
     def _positions(self, basis_a: Labels, basis_b: Labels) -> tuple[np.ndarray, np.ndarray]:
         """Each pair's position in ``basis_a`` and in ``basis_b``, as two
         read-only arrays.
@@ -71,16 +58,13 @@ class CompatibilityRelation:
         last = self._last
         if last is not None and last[0] is basis_a and last[1] is basis_b:
             return last[2], last[3]
-        left, right, li, ri = self._index
-        pos_a, pos_b = basis_a.positions, basis_b.positions
-        at_a = [pos_a.get(x, -1) for x in left]
-        at_b = [pos_b.get(y, -1) for y in right]
-        if -1 in at_a or -1 in at_b:
+        pos_a, pos_b, n = basis_a.positions, basis_b.positions, len(self.pairs)
+        rows = np.fromiter((pos_a.get(x, -1) for x, _ in self.pairs), np.intp, n)
+        cols = np.fromiter((pos_b.get(y, -1) for _, y in self.pairs), np.intp, n)
+        if -1 in rows or -1 in cols:
             for x, y in self.pairs:
                 basis_a.index_of(x, "exemplar")
                 basis_b.index_of(y, "exemplar")
-        rows = np.array(at_a, dtype=np.intp)[li]
-        cols = np.array(at_b, dtype=np.intp)[ri]
         rows.flags.writeable = cols.flags.writeable = False
         object.__setattr__(self, "_last", (basis_a, basis_b, rows, cols))
         return rows, cols

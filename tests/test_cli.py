@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -212,6 +213,34 @@ def test_bell_and_sweep_differ_only_by_the_sweep_tolerance(capsys):
     assert sweep["points"] == [
         {"odd_event_probability": p, "bell_value": 2.0, "violated": False}
     ]
+
+
+def test_sweep_points_are_the_fields_of_each_sweep_point(capsys):
+    grid = "0:1:0.01"
+    points = run_report(capsys, ["sweep", "--grid", grid])["results"]["points"]
+    expected = bell.sweep_mixing(cli._parse_grid(grid))
+    assert points == [dataclasses.asdict(p) for p in expected]
+    # The record is each point's instance dict, so the dict must hold the
+    # three fields and nothing else.
+    assert vars(bell.SweepPoint(0.5, 3.0, True)) == {
+        "odd_event_probability": 0.5,
+        "bell_value": 3.0,
+        "violated": True,
+    }
+
+
+def test_a_large_sweep_report_keeps_its_bytes(capsys):
+    code, out, err = run(capsys, ["sweep", "--grid", "0:1:1e-5"])
+    assert code == 0, err
+    kept = [
+        line
+        for line in out.splitlines(keepends=True)
+        if not line.lstrip().startswith('"timing_s"')
+    ]
+    digest = hashlib.sha256("".join(kept).encode()).hexdigest()
+    # The digest of the 100,001-point report without its timing, written
+    # when each point's record was a dict spelled out field by field.
+    assert digest == "78d079c1ee24efc55f6f7d666e6a94345954d810f8af3e333798f06eeda39e2b"
 
 
 def test_sweep_grid_validation(capsys):

@@ -684,10 +684,9 @@ def reference_tensor(u, v):
 
 
 def reference_positions(relation, basis_a, basis_b):
-    left, right, li, ri = relation._index
-    at_a = np.array([basis_a.positions[x] for x in left], dtype=np.intp)
-    at_b = np.array([basis_b.positions[y] for y in right], dtype=np.intp)
-    return at_a[li], at_b[ri]
+    rows = np.array([basis_a.positions[x] for x, _ in relation.pairs], dtype=np.intp)
+    cols = np.array([basis_b.positions[y] for _, y in relation.pairs], dtype=np.intp)
+    return rows, cols
 
 
 def reference_combine(dist_a, dist_b, relation):
@@ -857,6 +856,29 @@ def test_the_relation_keeps_read_only_pair_positions_for_the_last_two_bases():
     with pytest.raises(ValueError) as first:
         combine(pa, short, CompatibilityRelation(relation.pairs))
     assert str(cached.value) == str(first.value)
+
+
+def test_the_relation_keeps_only_its_pairs_and_the_last_positions():
+    pa, pb, relation = pet_fish_setup()
+    combine(pa, pb, relation)
+    assert set(vars(relation)) == {"pairs", "_last"}
+
+
+def test_an_unknown_label_is_named_pair_by_pair_left_before_right():
+    # The first pair's right label is unknown before the second pair's left
+    # one, so a lookup of every left label first would name 'zzz-left'.
+    pairs = (("guppy", "zzz-right"), ("zzz-left", "guppy"))
+    pa, pb = dist("a", guppy=1.0), dist("b", guppy=1.0)
+    with pytest.raises(ValueError, match="unknown exemplar 'zzz-right'"):
+        combine(pa, pb, CompatibilityRelation(pairs))
+    relation = CompatibilityRelation(pairs)
+    combine(
+        dist("a", guppy=0.5, **{"zzz-left": 0.5}),
+        dist("b", guppy=0.5, **{"zzz-right": 0.5}),
+        relation,
+    )
+    with pytest.raises(ValueError, match="unknown exemplar 'zzz-right'"):
+        combine(pa, pb, relation)
 
 
 # ------------------------------------------------------- guppy_gap, one bin read

@@ -284,7 +284,7 @@ def test_tensor_matches_the_labelled_product_bit_for_bit():
     for u, v in cases:
         got, want = tensor(u, v), labelled_tensor(u, v)
         assert got.dim == want.dim and len(got.amplitudes) == got.dim
-        assert np.array_equal(dense(got), want.amplitudes.reshape(u.dim, v.dim))
+        assert dense(got).tobytes() == want.amplitudes.reshape(u.dim, v.dim).tobytes()
 
 
 def test_tensor_agrees_with_combine_over_the_full_relation(pet_table):
