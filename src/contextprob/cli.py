@@ -15,6 +15,7 @@ them itself, so ``bell``, ``kolmo`` and ``sweep`` never load numpy, and
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -176,7 +177,7 @@ def _cmd_guppy(args):
         "combined_marginal": entangle.marginal(state, "A").probability(args.exemplar),
         "gap": gap,
         "guppy_effect": gap > 0,
-        "support": sorted(list(pair) for pair in state.support),
+        "support": sorted(map(list, state.amplitudes)),
     }
 
 
@@ -371,6 +372,7 @@ def main(argv: list[str] | None = None) -> int:
             f"# command: {args.command} " + " ".join(raw[1:]),
             *output,
         ]
+        parts = ["\n".join(lines)]
     else:
         report = {
             "schema_version": SCHEMA_VERSION,
@@ -380,9 +382,13 @@ def main(argv: list[str] | None = None) -> int:
             "results": output,
             "timing_s": round(elapsed, 6),
         }
-        lines = [json.dumps(report, indent=2, sort_keys=True)]
+        # The encoder's chunks, joined and printed a batch at a time: dumps
+        # would first list them all (~15 million at the grid cap), and a
+        # write per chunk, as dump makes, is slower than either.
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+        parts = iter(lambda: "".join(itertools.islice(chunks, 65536)), "")
     try:
-        print("\n".join(lines), flush=True)
+        print(*parts, sep="", flush=True)
     except BrokenPipeError:
         # The reader closed the pipe (say, `| head`). Send the rest to
         # devnull so the flush at interpreter exit does not fail again.

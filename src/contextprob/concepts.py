@@ -43,15 +43,14 @@ class RatingTable:
         contexts = distinct_labels(self.contexts, "context")
         labels = {"exemplar": exemplars, "context": contexts}
         ratings = as_array(self.ratings, "real", "rating", labels)
-        if not np.all(np.isfinite(ratings)):
-            raise ValueError("ratings must be finite numbers")
-        bad = np.argwhere(ratings < 0)
+        # The first cell that parse_ratings would refuse, as it refuses it.
+        bad = np.argwhere((ratings < 0) | ~np.isfinite(ratings))
         if bad.size:
             i, j = bad[0]
-            raise ValueError(
-                f"negative rating at ({shown(exemplars[i])}, {shown(contexts[j])}): "
-                f"{shown(ratings[i, j])}"
-            )
+            cell, value = f"({shown(exemplars[i])}, {shown(contexts[j])})", ratings[i, j]
+            if value < 0:
+                raise ValueError(f"negative rating at {cell}: {shown(value)}")
+            raise ValueError(f"rating at {cell} is not finite: {shown(value)}")
         # The column maximum, not the sum: finite ratings can sum past the
         # float range, and max > 0 is the same test for non-negative values.
         dead = np.flatnonzero(ratings.max(axis=0) <= 0)

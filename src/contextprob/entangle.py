@@ -156,17 +156,13 @@ class EntangledState:
             raise ValueError(f"joint state is not normalized: squared norm {shown(norm_sq)}")
         for arr in (rows, cols, amps, probs):
             arr.flags.writeable = False
-        fields = {
-            "basis_a": basis_a,
-            "basis_b": basis_b,
-            "amplitudes": _PairAmplitudes(basis_a, basis_b, rows, cols, amps),
-            "_rows": rows,
-            "_cols": cols,
-            "_amps": amps,
-            "_probs": probs,
-        }
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "basis_a", basis_a)
+        object.__setattr__(self, "basis_b", basis_b)
+        object.__setattr__(self, "amplitudes", _PairAmplitudes(basis_a, basis_b, rows, cols, amps))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_amps", amps)
+        object.__setattr__(self, "_probs", probs)
 
     @property
     def dim(self) -> int:

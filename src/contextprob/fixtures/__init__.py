@@ -1,6 +1,5 @@
 """Shipped demo data: rating tables, relations, scenarios, a toy corpus."""
 
-from importlib import resources
 from pathlib import Path
 
 from .._labels import listing, shown
@@ -25,4 +24,4 @@ def fixture_path(name: str) -> Path:
     """Filesystem path of a shipped fixture file."""
     if name not in _NAMES:
         raise ValueError(f"unknown fixture {shown(name)}; shipped fixtures: {listing(_NAMES)}")
-    return Path(str(resources.files(__package__).joinpath(name)))
+    return Path(__file__).with_name(name)

@@ -195,9 +195,9 @@ def tensor(u: StateVector, v: StateVector) -> EntangledState:
 
 def _mass(mask: np.ndarray, state: StateVector) -> float:
     """The squared moduli of the amplitudes where ``mask`` holds, summed in
-    basis order and clamped into [0, 1]."""
-    p = float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
-    return min(max(p, 0.0), 1.0)
+    basis order and capped at 1. A sum of squared moduli of finite numbers
+    is never below +0.0, so it needs no floor."""
+    return min(float(np.sum(np.abs(state.amplitudes[mask]) ** 2)), 1.0)
 
 
 def born_prob(proj: Projector, state: StateVector) -> float:

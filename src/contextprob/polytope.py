@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from ._labels import shown
 from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, as_number
-from .bell import CorrelationTable, CHSH_FORMS, bell_value_all_forms
+from .bell import CorrelationTable, CHSH_FORMS, _sized, bell_value_all_forms
 
 #: Largest functional value reachable by tensor-product measurements on a
 #: shared quantum state.
@@ -54,11 +54,7 @@ class DeterministicStrategy:
     def __post_init__(self) -> None:
         for field in ("row_outcomes", "col_outcomes"):
             given = getattr(self, field)
-            try:
-                two = not isinstance(given, str) and len(given) == 2
-            except TypeError:  # no length
-                two = False
-            if not two:
+            if not (_sized(given) and len(given) == 2):
                 raise ValueError(f"{field} must be two outcomes, +1 or -1, got {shown(given)}")
             given = tuple(given)
             outcomes = tuple(as_number(v, "sign") for v in given)  # the ints 1 and -1
@@ -204,8 +200,8 @@ def _witness(table: CorrelationTable) -> tuple[Witness, float] | None:
         )
         return witness, slack
     positivity = _positivity_slacks(table) if table.has_singles else []
-    if positivity and min(positivity) < 0.0:
-        q = min(positivity)
+    q = min(positivity, default=0.0)
+    if q < 0.0:
         i, j, sa, sb = _OUTCOMES[positivity.index(q)]
         witness = Witness(
             kind="outcome-probability",
@@ -242,11 +238,27 @@ def _fine_weights(joints, singles_a, singles_b) -> list[float]:
     Joints-only tables take zero singles, which flipping every outcome of
     any mixture shows to be realizable too.
 
-    The signs are written out, yet every float operation is that of the
-    generic construction over sign tables, in the same order; the test
-    suite keeps that construction and compares the weights bit for bit.
-    Each sum of two minima starts from 0.0, as ``sum`` does, and each clamp
-    is max(0.0, v), so a signed zero rounds as it did there.
+    The signs are written out, yet every weight is that of the generic
+    construction over sign tables, bit for bit; the test suite keeps that
+    construction and compares the weights. There each sum of two minima
+    starts from 0.0, as ``sum`` does; here none needs to. Under
+    round-to-nearest a float sum or difference is -0.0 only when its left
+    operand is -0.0, and every u starts from 1.0, every c from a u and
+    every such sum from a minimum of c's, so none of them is -0.0 and
+    0.0 + s would be s. Each clamp is max(0.0, v), so a signed zero rounds
+    as it did there.
+
+    Two scalings look removable but are not: the halving of each pair's
+    mass and the / 8 of each atom. Either factor cancels in the final
+    w / total unless a weight is subnormal: there a quotient keeps fewer
+    bits, so where the factor is applied moves its rounding. The test
+    suite holds both examples. Without the halving, weight 9 of the table
+    with joints (0.75, 1.0, 5e-322, 0.0) and singles (-0.75, -0.25),
+    (-0.75, -0.75) moves from 0x0.000000000000dp-1022 to ...0ep-1022.
+    Without the / 8, weights 14 and 15 of the one with joints (-1.0,
+    -5e-324, 3e-320, -0.5) and singles (-1.0, 3e-320), (1.0, 0.0) move
+    from 0x0.000000000011cp-1022 to ...11dp-1022 and from
+    0x0.0000000000060p-1022 to ...05fp-1022.
     """
     sa0, sa1 = singles_a
     # 1 + a0 A0 + a1 A1, for (a0, a1) = ++, +-, -+, --.
@@ -260,8 +272,8 @@ def _fine_weights(joints, singles_a, singles_b) -> list[float]:
             u_mp + v_mp, u_mp - v_mp, u_mm + v_mm, u_mm - v_mm,
         )
         free.append(c)
-        cross.append(0.0 + min(c[2], c[4]) + min(c[3], c[5]))
-        same.append(0.0 + min(c[0], c[6]) + min(c[1], c[7]))
+        cross.append(min(c[2], c[4]) + min(c[3], c[5]))
+        same.append(min(c[0], c[6]) + min(c[1], c[7]))
     x = (min(cross) - min(same)) / 4.0
 
     p = []

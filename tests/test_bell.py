@@ -134,6 +134,15 @@ def test_table_rejects_repeated_context_label():
         CorrelationTable(("r", "r"), COLS, np.zeros((2, 2)))
 
 
+def test_table_needs_exactly_two_context_labels_a_side():
+    with pytest.raises(ValueError) as err:
+        CorrelationTable(["r0", "r1", "r2"], COLS, np.zeros((2, 2)))
+    assert str(err.value) == "need exactly two row context labels, got ['r0', 'r1', 'r2']"
+    with pytest.raises(ValueError) as err:
+        CorrelationTable(ROWS, ("c0",), np.zeros((2, 2)))
+    assert str(err.value) == "need exactly two col context labels, got ('c0',)"
+
+
 def test_chsh_forms_are_the_eight_odd_sign_tuples():
     assert len(CHSH_FORMS) == 8
     assert len(set(CHSH_FORMS)) == 8
@@ -257,6 +266,13 @@ def test_product_equality_accepts_product_generated_joints():
 
 def test_product_equality_degenerate_tolerance_accepts_anything():
     assert product_equality_check((1, 1, 1, 1), (-1, 1, 1, 1), tol=2.0).all_hold
+
+
+def test_product_equality_needs_four_singles_and_four_joints():
+    for singles, joints in (((1, 1, 1), (1, 1, 1, 1)), ((1, 1, 1, 1), (1, 1, 1, 1, 1))):
+        with pytest.raises(ValueError) as err:
+            product_equality_check(singles, joints)
+        assert str(err.value) == "need four singles and four joints"
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, "1e-9", None, [1e-9], True])
@@ -465,6 +481,14 @@ def test_load_scenario_rejects_bad_json(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValueError, match="not valid JSON"):
         load_scenario(bad)
+
+
+def test_load_scenario_needs_an_object_at_top_level(tmp_path):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    with pytest.raises(ValueError) as err:
+        load_scenario(listed)
+    assert str(err.value) == f"{listed}: expected a JSON object at top level"
 
 
 def test_load_scenario_validates_entries(tmp_path):

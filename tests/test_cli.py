@@ -135,6 +135,13 @@ def test_bell_needs_exactly_one_source(capsys):
     assert code == 1 and "exactly one" in err
 
 
+def test_bell_on_a_scenario_that_is_no_object_is_one_error_line(capsys, tmp_path):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    code, out, err = run(capsys, ["bell", "--scenario", str(listed)])
+    assert (code, out, err) == (1, "", f"error: {listed}: expected a JSON object at top level\n")
+
+
 def test_bell_rejects_out_of_range_probability(capsys):
     code, _, err = run(capsys, ["bell", "--odd-event", "1.5"])
     assert code == 1
@@ -343,6 +350,34 @@ def test_guppy_gap_is_the_marginal_minus_the_larger_typicality(capsys, tmp_path,
     assert results["gap"] == results["combined_marginal"] - larger
     if f"{exemplar}\t" not in pairs:  # outside the support
         assert results["combined_marginal"] == 0.0 and results["gap"] == -larger
+
+
+def pet_and_fish_argv(*context_a):
+    """guppy on the three-context pet table and the one-context fish table."""
+    return [
+        "guppy",
+        "--concept-a", PET_RATINGS,
+        "--concept-b", PETFISH_FISH,
+        "--relation", PET_FISH_PAIRS,
+        "--exemplar", "guppy",
+        *context_a,
+    ]
+
+
+def test_guppy_picks_the_named_context_of_a_multi_context_table(capsys):
+    results = run_report(capsys, pet_and_fish_argv("--context-a", "bone"))["results"]
+    assert results["context_a"] == "The pet is chewing a bone"
+    assert results["context_b"] == "the fish is a pet"  # the table's only context
+
+
+def test_guppy_needs_a_context_for_a_multi_context_table(capsys):
+    code, out, err = run(capsys, pet_and_fish_argv())
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: --context-a is required for a multi-context table; available contexts: "
+        "'The pet is chewing a bone', 'The pet is being taught', "
+        "'Look what a pet he has, I knew he was a weird person'\n"
+    )
 
 
 def test_guppy_missing_relation_file(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -65,6 +66,45 @@ def test_a_negative_rating_is_shown_as_a_python_float():
     with pytest.raises(ValueError) as err:
         RatingTable(("a", "b"), ("c",), [[-1.0], [1.0]])
     assert str(err.value) == "negative rating at ('a', 'c'): -1.0"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1.0, math.inf], [-1.0, 1.0]], "rating at ('a', 'd') is not finite: inf"),
+        ([[1.0, math.nan], [-1.0, 1.0]], "rating at ('a', 'd') is not finite: nan"),
+        ([[1.0, -1.0], [math.inf, 1.0]], "negative rating at ('a', 'd'): -1.0"),
+        ([[1.0, -math.inf], [math.nan, 1.0]], "negative rating at ('a', 'd'): -inf"),
+    ],
+    ids=["inf", "nan", "negative-first", "minus-inf"],
+)
+def test_the_first_refused_rating_is_named_by_its_cell(rows, message):
+    # Row by row, the cell and the message parse_ratings gives, without the line.
+    with pytest.raises(ValueError) as err:
+        RatingTable(("a", "b"), ("c", "d"), rows)
+    assert str(err.value) == message
+    text = "exemplar\tc\td\n" + "".join(f"{x}\t{r[0]!r}\t{r[1]!r}\n" for x, r in zip("ab", rows))
+    with pytest.raises(ValueError) as err:
+        parse_ratings(text)
+    assert str(err.value).startswith(f"line 2: {message.rsplit(': ', 1)[0]}: ")
+
+
+def test_a_rating_array_of_the_wrong_shape_is_refused():
+    with pytest.raises(ValueError) as err:
+        RatingTable(("a", "b"), ("c",), [[1.0]])
+    assert str(err.value) == "rating shape (1, 1) does not match 2 exemplars x 1 contexts"
+
+
+def test_a_header_alone_is_no_table():
+    with pytest.raises(ValueError) as err:
+        parse_ratings("exemplar\tc1\n\n")
+    assert str(err.value) == "rating table needs a header line and at least one exemplar row"
+
+
+def test_a_header_with_an_empty_context_label_is_refused():
+    with pytest.raises(ValueError) as err:
+        parse_ratings("exemplar\tc1\t \nant\t1\t2\n")
+    assert str(err.value) == "line 1: header must list at least one non-empty context label"
 
 
 def test_parse_minus_infinity_is_a_negative_rating():
@@ -143,6 +183,25 @@ def test_distribution_unknown_context_lists_available(pet_table):
         context_distribution(pet_table, "nope")
     for context in PET_CONTEXTS:
         assert context in str(err.value)
+
+
+def test_a_distribution_needs_a_context_label():
+    for context in ("", None):
+        with pytest.raises(ValueError) as err:
+            ContextDistribution(context, {"a": 1.0})
+        assert str(err.value) == "context label must be a non-empty string"
+
+
+def test_a_distribution_has_no_other_lazy_attribute():
+    dist = ContextDistribution("c", {"a": 0.25, "b": 0.75})
+    assert not hasattr(dist, "zzz")
+    with pytest.raises(AttributeError) as err:
+        dist.zzz
+    assert str(err.value) == "'ContextDistribution' object has no attribute 'zzz'"
+    # A copy is built without __init__, so it asks for names it does not hold yet.
+    copied = copy.deepcopy(dist)
+    assert copied.probabilities == {"a": 0.25, "b": 0.75}
+    assert copied.probability("b") == 0.75
 
 
 def test_distribution_constructor_validates_sum():

@@ -114,6 +114,12 @@ def test_parse_relation_rejects_bad_line():
         parse_relation("a\tb\nmalformed line\n")
 
 
+def test_a_relation_of_comments_alone_has_no_pairs():
+    with pytest.raises(ValueError) as err:
+        parse_relation("# pairs\n\n# none yet\n")
+    assert str(err.value) == "relation file contains no pairs"
+
+
 def test_load_shipped_pet_food_pairs():
     rel = load_relation(fixture_path("pet_food_pairs.tsv"))
     assert set(rel.pairs) == set(PET_FOOD.pairs)
@@ -565,6 +571,11 @@ def test_amplitude_view_holds_the_support_in_relation_order():
     built = EntangledState(("p", "q"), ("r",), {("q", "r"): 0.0, ("p", "r"): -1.0})
     assert len(built.amplitudes) == 1
     assert list(built.amplitudes.items()) == [(("p", "r"), -1.0 + 0j)]
+
+
+def test_the_amplitude_view_prints_as_a_dict_in_support_order():
+    state = EntangledState(("p", "q"), ("r", "s"), {("q", "s"): 0.8j, ("p", "r"): 0.6, ("p", "s"): 0})
+    assert repr(state.amplitudes) == "{('q', 's'): 0.8j, ('p', 'r'): (0.6+0j)}"
 
 
 def test_a_pair_lookup_off_the_support_is_a_key_error():

@@ -3,6 +3,7 @@
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,3 +61,22 @@ def test_a_submodule_loads_on_first_use():
     from contextprob.semspace import GRAM_RELATIVE_FLOOR
 
     assert fresh(code) == repr(GRAM_RELATIVE_FLOOR) + "\n"
+
+
+def test_every_fixture_is_a_file_beside_the_fixtures_module():
+    from contextprob import fixtures
+
+    folder = Path(fixtures.__file__).parent
+    shipped = {p.name for p in folder.iterdir() if p.is_file() and p.suffix != ".py"}
+    assert set(fixtures.fixture_names()) == shipped
+    for name in fixtures.fixture_names():
+        assert fixtures.fixture_path(name) == folder / name
+
+
+def test_an_unknown_fixture_name_lists_the_shipped_ones():
+    from contextprob.fixtures import fixture_names, fixture_path
+
+    with pytest.raises(ValueError) as err:
+        fixture_path("zzz.tsv")
+    shipped = ", ".join(map(repr, fixture_names()))
+    assert str(err.value) == f"unknown fixture 'zzz.tsv'; shipped fixtures: {shipped}"

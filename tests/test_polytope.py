@@ -785,6 +785,44 @@ def bit_identity_cases(rng):
     for n in range(1600):  # uniform tables, mostly infeasible
         m = rng.uniform(-1, 1, 8)
         yield m[:4].tolist(), m[4:].tolist() if n % 2 else None
+    yield from subnormal_cases(rng)
+
+
+#: Subnormal entries: odd multiples of the smallest one, and the largest.
+TINY = tuple(k * 2.0**-1074 for k in (1, 7, 15, 33, 101, 1001, 6073)) + (2.0**-1022,)
+QUARTERS = tuple(k / 4 for k in range(-4, 5))
+#: (B1, E01, E11) with |E01| + |E11| = 1, on the quarter grid.
+QUARTER_FACE = tuple(
+    (b, e0, e1) for b in QUARTERS for e0 in QUARTERS for e1 in QUARTERS if abs(e0) + abs(e1) == 1
+)
+#: The entries, of (E00, E01, E10, E11, A0, A1, B0, B1), that change sign
+#: when the outcomes of A0, A1, B0 or B1 are flipped.
+FLIPS = ((0, 1, 4), (2, 3, 5), (0, 2, 6), (1, 3, 7))
+
+
+def subnormal_cases(rng):
+    """Tables whose weights can be subnormal, where a factor that cancels in
+    w / total still moves a last bit.
+
+    Every atom probability is a sum of table entries, so a subnormal entry
+    survives into one only where the normal entries cancel exactly: here
+    A0 + A1 = -1 and B0 + E00 = 0, with E10 subnormal. Each table then has
+    the outcomes of some variables flipped and its rows or columns swapped,
+    which keeps it classical or not.
+    """
+    # Without the halving of a pair's mass, weight 9 moves by one ulp.
+    yield [0.75, 1.0, 5e-322, 0.0], [-0.75, -0.25, -0.75, -0.75]
+    # Without the / 8 of each atom, weights 14 and 15 move by one ulp.
+    yield [-1.0, -5e-324, 3e-320, -0.5], [-1.0, 3e-320, 1.0, 0.0]
+    for a0, tiny, (b1, e01, e11) in itertools.product((-0.75, -0.5, -0.25), TINY, QUARTER_FACE):
+        m = np.array((-a0, e01, tiny, e11, a0, -1.0 - a0, a0, b1))
+        for flip in np.flatnonzero(rng.random(4) < 0.5):
+            m[list(FLIPS[flip])] *= -1
+        if rng.random() < 0.5:
+            m = m[[2, 3, 0, 1, 5, 4, 6, 7]]
+        if rng.random() < 0.5:
+            m = m[[1, 0, 3, 2, 4, 5, 7, 6]]
+        yield m[:4].tolist(), m[4:].tolist()
 
 
 def case_table(joints, singles):
@@ -805,3 +843,8 @@ def test_kernels_match_the_generic_construction_bit_for_bit(monkeypatch):
         outcomes.add(mine[3][0] if mine[3] else "feasible")
     assert outcomes == {"feasible", "bell-form", "outcome-probability"}
     assert sum(w == "0x0.0p+0" for mine in got if mine[1] for w in mine[1]) > 10_000
+    # Tables with a subnormal weight, which only the subnormal slice gives.
+    subnormal = sum(
+        any(w.startswith("0x0.") and w != "0x0.0p+0" for w in mine[1]) for mine in got if mine[1]
+    )
+    assert subnormal >= 50

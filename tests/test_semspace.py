@@ -387,6 +387,36 @@ def test_semantic_space_checks_its_labels(terms, docs, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "singular_values, word_vectors, message",
+    [
+        ([2.0, 1.0, 0.5], np.ones((2, 2)), "expected 2 singular values, got shape (3,)"),
+        ([1.0, 2.0], np.ones((2, 2)), "singular values must be nonnegative and nonincreasing"),
+        ([1.0, -0.5], np.ones((2, 2)), "singular values must be nonnegative and nonincreasing"),
+        ([2.0, 1.0], np.ones((2, 1)), "factor shapes inconsistent with rank and labels"),
+    ],
+    ids=["count", "order", "negative", "factor-shape"],
+)
+def test_semantic_space_checks_its_factors(singular_values, word_vectors, message):
+    with pytest.raises(ValueError) as err:
+        SemanticSpace(2, ("a", "b"), ("d1", "d2"), word_vectors, singular_values, np.ones((2, 2)))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ([[1, -1], [0, 2]], "counts must be nonnegative"),
+        ([[0, 0], [0, 0]], "count matrix is entirely zero"),
+    ],
+    ids=["negative", "zero"],
+)
+def test_a_count_matrix_must_be_nonnegative_and_nonzero(counts, message):
+    with pytest.raises(ValueError) as err:
+        TermDocMatrix(("a", "b"), ("d1", "d2"), counts)
+    assert str(err.value) == message
+
+
 def test_rank_out_of_range(toy_matrix):
     with pytest.raises(ValueError, match="rank must be between 1 and"):
         svd_truncate(toy_matrix, 0)
