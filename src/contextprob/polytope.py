@@ -6,12 +6,17 @@ settings and two outcomes per side that polytope is known facet by facet:
 joints alone are classical exactly when the eight CHSH forms stay at or
 below 2 (Fine 1982, PRL 48 291); with singles, the 16 outcome-probability
 positivity facets join them (Froissart 1981; Collins & Gisin 2004). Every
-facet slack is a ``math.fsum`` of at most five table entries or their
-negations, signs written out, so it is correctly rounded and its sign,
-hence the decision, is exact. The eight CHSH slacks are the table's own,
+facet is decided on one ``math.fsum`` of at most five table entries or
+their negations, signs written out: the CHSH slack 2 - s.E, or four times
+an outcome probability, 1 +- A_i +- B_j +- E_ij. The sum is correctly
+rounded and nothing scales it before its sign is tested, so the sign, hence
+the decision, is exact. The eight CHSH slacks are the table's own,
 computed when ``CorrelationTable`` builds it; ``classify``,
-``primary_violated`` and ``realizable`` all read them. The positivity slacks
+``primary_violated`` and ``realizable`` all read them. The positivity sums
 are computed here, and only when ``realizable`` finds no CHSH form violated.
+A violated positivity facet is reported as a probability, its sum / 4; a
+sum of -2**-1074 or -2**-1073 gives -0.0 there, and the witness's
+description then shows the sum and the division instead.
 
 Mixture weights for a classical table come in closed form from Fine's
 chordal construction, as straight-line float code. The test suite keeps
@@ -99,7 +104,10 @@ class Witness:
 
     ``kind`` is "bell-form" when a sign placement of the joints exceeds the
     classical ceiling of 2, or "outcome-probability" when (with singles
-    present) some implied outcome probability goes negative.
+    present) some implied outcome probability goes negative. The value of
+    an outcome-probability witness is that probability, its exact sum / 4,
+    rounded; where that rounds to -0.0 the description reads, for instance,
+    ``p(row=-1, col=-1 | 'row-1', 'col-0') = -5e-324 / 4 < 0``.
     """
 
     kind: str
@@ -116,7 +124,10 @@ class RealizabilityResult:
     Feasible results carry mixture weights over ``enumerate_strategies()``
     and ``max_residual``, the sup-norm distance between the table and the
     mixture. Infeasible results carry a violated facet as ``witness`` and
-    its violation, the facet's negated slack, as ``max_residual``.
+    its violation, the negated ``witness.value`` for an outcome probability
+    and the negated slack 2 - s.E for a CHSH form, as ``max_residual``. A
+    probability below the smallest subnormal has the value -0.0 and the
+    violation 0.0, though the table is not classical.
     """
 
     feasible: bool
@@ -128,7 +139,10 @@ class RealizabilityResult:
 def realizable(table: CorrelationTable) -> RealizabilityResult:
     """Decide membership in the classical correlation polytope.
 
-    The decision is exact and takes no tolerance. The returned weights are
+    The decision is exact and takes no tolerance: every facet's sign is
+    read from its correctly rounded sum, before any division, so a table
+    whose only violation is below the smallest subnormal still reads
+    infeasible (its ``max_residual`` is then 0.0). The returned weights are
     checked against the table: a sup-norm residual above ``RESIDUAL_TOL``
     is a ValueError. The closed-form weights stay below 1e-15 (the test
     suite holds them to that), so the check never fires on a correct build.
@@ -161,29 +175,31 @@ def realizable(table: CorrelationTable) -> RealizabilityResult:
 _OUTCOMES = tuple(itertools.product(range(2), range(2), (1, -1), (1, -1)))
 
 
-def _positivity_slacks(table: CorrelationTable) -> list[float]:
-    """Each outcome probability implied by the singles and one joint, in the
-    order of ``_OUTCOMES``, with the signs written out."""
+def _positivity_sums(table: CorrelationTable) -> list[float]:
+    """Four times each outcome probability implied by the singles and one
+    joint, 1 +- A_i +- B_j +- E_ij, in the order of ``_OUTCOMES``, with the
+    signs written out."""
     a, b, joints = table.singles_a, table.singles_b, table.joints_flat()
     fsum = math.fsum
-    slacks = []
+    sums = []
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
         ai, bj, e = a[i], b[j], joints[2 * i + j]
-        slacks += (
-            fsum((1.0, ai, bj, e)) / 4.0,
-            fsum((1.0, ai, -bj, -e)) / 4.0,
-            fsum((1.0, -ai, bj, -e)) / 4.0,
-            fsum((1.0, -ai, -bj, e)) / 4.0,
+        sums += (
+            fsum((1.0, ai, bj, e)),
+            fsum((1.0, ai, -bj, -e)),
+            fsum((1.0, -ai, bj, -e)),
+            fsum((1.0, -ai, -bj, e)),
         )
-    return slacks
+    return sums
 
 
 def _witness(table: CorrelationTable) -> tuple[Witness, float] | None:
     """The most violated facet and its slack, or None if no slack is negative.
 
     A violated CHSH form is reported before any positivity facet, with the
-    float ``bell_value_all_forms`` gives. The positivity slacks are computed
-    only when no CHSH form is violated.
+    float ``bell_value_all_forms`` gives. The positivity sums are computed
+    only when no CHSH form is violated, and only the smallest is divided by
+    4, after its sign is tested, to report it as a probability.
     """
     slack = min(table._chsh_slacks)
     if slack < 0.0:
@@ -199,17 +215,20 @@ def _witness(table: CorrelationTable) -> tuple[Witness, float] | None:
             signs=signs,
         )
         return witness, slack
-    positivity = _positivity_slacks(table) if table.has_singles else []
-    q = min(positivity, default=0.0)
-    if q < 0.0:
-        i, j, sa, sb = _OUTCOMES[positivity.index(q)]
+    sums = _positivity_sums(table) if table.has_singles else []
+    low = min(sums, default=0.0)
+    if low < 0.0:
+        i, j, sa, sb = _OUTCOMES[sums.index(low)]
+        q = low / 4.0
+        # A quotient below the smallest subnormal is -0.0: show the sum / 4.
+        shown_q = shown(q) if q else f"{shown(low)} / 4"
         witness = Witness(
             kind="outcome-probability",
             value=q,
             bound=0.0,
             description=(
                 f"p(row={sa:+d}, col={sb:+d} | {shown(table.row_contexts[i])}, "
-                f"{shown(table.col_contexts[j])}) = {shown(q)} < 0"
+                f"{shown(table.col_contexts[j])}) = {shown_q} < 0"
             ),
         )
         return witness, q
@@ -255,10 +274,9 @@ def _fine_weights(joints, singles_a, singles_b) -> list[float]:
     suite holds both examples. Without the halving, weight 9 of the table
     with joints (0.75, 1.0, 5e-322, 0.0) and singles (-0.75, -0.25),
     (-0.75, -0.75) moves from 0x0.000000000000dp-1022 to ...0ep-1022.
-    Without the / 8, weights 14 and 15 of the one with joints (-1.0,
-    -5e-324, 3e-320, -0.5) and singles (-1.0, 3e-320), (1.0, 0.0) move
-    from 0x0.000000000011cp-1022 to ...11dp-1022 and from
-    0x0.0000000000060p-1022 to ...05fp-1022.
+    Without the / 8, weight 14 of the one with joints (-0.75, -1.0,
+    7.4e-323, 0.0) and singles (-0.75, 0.25), (0.75, 0.75) moves from
+    0x0.0000000000003p-1022 to ...2p-1022.
     """
     sa0, sa1 = singles_a
     # 1 + a0 A0 + a1 A1, for (a0, a1) = ++, +-, -+, --.

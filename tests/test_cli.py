@@ -460,6 +460,22 @@ def test_kolmo_rejects_the_perfect_correlation_scenario(capsys):
     assert witness["bound"] == 2.0
 
 
+def test_kolmo_rejects_a_table_below_the_smallest_subnormal(capsys, tmp_path):
+    # p(row=-1, col=-1 | row-1, col-0) = -5e-324 / 4 exactly, which rounds
+    # to -0.0; the report still reads infeasible and shows the sum.
+    scenario = tmp_path / "tiny.json"
+    scenario.write_text(
+        '{"joint": [[5e-324, -1], [-5e-324, 0.5]], "singles_a": [0, 0.5], "singles_b": [0.5, 0]}'
+    )
+    results = run_report(capsys, ["kolmo", "--scenario", str(scenario)])["results"]
+    assert results["feasible"] is False
+    assert results["weights"] is None
+    witness = results["witness"]
+    assert witness["kind"] == "outcome-probability"
+    assert "-5e-324" in witness["description"]
+    assert witness["description"] == "p(row=-1, col=-1 | 'row-1', 'col-0') = -5e-324 / 4 < 0"
+
+
 def test_kolmo_has_no_tolerance_flag(capsys):
     # The decision is exact and the weights closed form: no setting changes
     # the report, so the flag is a usage error.

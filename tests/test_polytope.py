@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from contextprob import bell, polytope
@@ -218,6 +220,28 @@ def test_singles_can_break_realizability_without_any_bell_violation():
     assert witness.kind == "outcome-probability"
     assert witness.bound == 0.0
     assert witness.value == pytest.approx(-0.25, abs=1e-9)
+
+
+@pytest.mark.parametrize("k, shown", [(1, "-5e-324 / 4"), (2, "-1e-323 / 4"), (3, "-5e-324")])
+def test_a_probability_below_the_smallest_subnormal_is_a_witness(k, shown):
+    # p(row=-1, col=-1 | row-1, col-0) = (1 - 0.5 - 0.5 - k * 2**-1074) / 4
+    # exactly. For k = 1, 2 the quotient rounds to -0.0: the sum is tested
+    # before the division, and the description shows the division.
+    tiny = k * 2.0**-1074
+    t = CorrelationTable(
+        ("row-0", "row-1"),
+        ("col-0", "col-1"),
+        [[tiny, -1.0], [-tiny, 0.5]],
+        singles_a=(0.0, 0.5),
+        singles_b=(0.5, 0.0),
+    )
+    result = realizable(t)
+    assert not result.feasible and result.weights is None
+    witness = result.witness
+    assert (witness.kind, witness.bound, witness.signs) == ("outcome-probability", 0.0, None)
+    assert witness.value.hex() == (-tiny / 4).hex() == ("-0x0.0p+0" if k < 3 else "-0x0.0000000000001p-1022")
+    assert result.max_residual.hex() == (tiny / 4).hex()
+    assert witness.description == f"p(row=-1, col=-1 | 'row-1', 'col-0') = {shown} < 0"
 
 
 # ------------------------------------------------------------ is_kolmogorovian
@@ -715,10 +739,10 @@ def reference_fine_weights(joints, singles_a, singles_b):
     return [w / total for w in weights]
 
 
-def reference_positivity_slacks(t):
+def reference_positivity_sums(t):
     a, b, joints = t.singles_a, t.singles_b, t.joints_flat()
     return [
-        math.fsum((1.0, sa * a[i], sb * b[j], sa * sb * joints[2 * i + j])) / 4.0
+        math.fsum((1.0, sa * a[i], sb * b[j], sa * sb * joints[2 * i + j]))
         for i, j, sa, sb in itertools.product(range(2), range(2), (1, -1), (1, -1))
     ]
 
@@ -735,7 +759,7 @@ def fingerprint(t):
     """Every float the decision reports on ``t``, as ``float.hex``."""
     result = realizable(t)
     witness = result.witness
-    positivity = polytope._positivity_slacks(t) if t.has_singles else []
+    positivity = polytope._positivity_sums(t) if t.has_singles else []
     return (
         result.feasible,
         None if result.weights is None else [w.hex() for w in result.weights],
@@ -812,7 +836,9 @@ def subnormal_cases(rng):
     """
     # Without the halving of a pair's mass, weight 9 moves by one ulp.
     yield [0.75, 1.0, 5e-322, 0.0], [-0.75, -0.25, -0.75, -0.75]
-    # Without the / 8 of each atom, weights 14 and 15 move by one ulp.
+    # Without the / 8 of each atom, weight 14 moves by one ulp.
+    yield [-0.75, -1.0, 7.4e-323, 0.0], [-0.75, 0.25, 0.75, 0.75]
+    # Not classical: 1 + A0 + B1 + E01 = -5e-324, which / 4 rounds to -0.0.
     yield [-1.0, -5e-324, 3e-320, -0.5], [-1.0, 3e-320, 1.0, 0.0]
     for a0, tiny, (b1, e01, e11) in itertools.product((-0.75, -0.5, -0.25), TINY, QUARTER_FACE):
         m = np.array((-a0, e01, tiny, e11, a0, -1.0 - a0, a0, b1))
@@ -835,7 +861,7 @@ def test_kernels_match_the_generic_construction_bit_for_bit(monkeypatch):
     assert len(cases) >= 10_000
     got = [fingerprint(case_table(*case)) for case in cases]
     monkeypatch.setattr(polytope, "_fine_weights", reference_fine_weights)
-    monkeypatch.setattr(polytope, "_positivity_slacks", reference_positivity_slacks)
+    monkeypatch.setattr(polytope, "_positivity_sums", reference_positivity_sums)
     monkeypatch.setattr(bell, "_chsh_slacks", reference_chsh_slacks)
     outcomes = set()
     for case, mine in zip(cases, got):
@@ -848,3 +874,303 @@ def test_kernels_match_the_generic_construction_bit_for_bit(monkeypatch):
         any(w.startswith("0x0.") and w != "0x0.0p+0" for w in mine[1]) for mine in got if mine[1]
     )
     assert subnormal >= 50
+
+
+# ------------------------------------------------------------ relabelings
+#
+# The scenario's 128 relabelings (Rosset, Bancal & Gisin 2014, J. Phys. A 47,
+# 424022), as signed permutations of the moments m = (E00, E01, E10, E11, A0,
+# A1, B0, B1): (perm, sign) maps m to m' with m'[k] = sign[k] * m[perm[k]].
+# Each maps the classical polytope and its 24 facets onto themselves, and a
+# facet's value on the image is one correctly rounded sum of the same terms,
+# so every decision keeps its bits, down to the sign of a zero.
+
+IDENTITY = tuple(range(8))
+
+
+def flip(entries):
+    return IDENTITY, tuple(-1 if k in entries else 1 for k in IDENTITY)
+
+
+GENERATORS = (
+    *map(flip, FLIPS),  # the outcome of A0, A1, B0 or B1
+    ((2, 3, 0, 1, 5, 4, 6, 7), (1,) * 8),  # swap the two row settings
+    ((1, 0, 3, 2, 4, 5, 7, 6), (1,) * 8),  # swap the two column settings
+    ((0, 2, 1, 3, 6, 7, 4, 5), (1,) * 8),  # swap the parties
+)
+
+
+def compose(g, h):
+    """The relabeling g, then h."""
+    (p, s), (q, t) = g, h
+    return tuple(p[k] for k in q), tuple(t[k] * s[q[k]] for k in IDENTITY)
+
+
+def group(generators):
+    found = {(IDENTITY, (1,) * 8)}
+    edge = list(found)
+    while edge:
+        edge = [compose(g, h) for g in edge for h in generators]
+        edge = [g for g in edge if g not in found]
+        found.update(edge)
+    return sorted(found)
+
+
+RELABELINGS = group(GENERATORS)
+
+
+def relabel(g, case):
+    """The image of a (joints, singles or None) case under g."""
+    joints, singles = case
+    perm, sign = g
+    m = (*joints, *(singles or (0.0,) * 4))
+    image = [sign[k] * m[perm[k]] for k in IDENTITY]
+    return image[:4], None if singles is None else image[4:]
+
+
+#: (row, col, row outcome, col outcome) of each outcome facet, in the order
+#: of ``polytope._positivity_sums``.
+OUTCOMES = tuple(itertools.product(range(2), range(2), (1, -1), (1, -1)))
+
+
+def outcome_facet(i, j, sa, sb):
+    c = [0] * 8
+    c[2 * i + j], c[4 + i], c[6 + j] = sa * sb, sa, sb
+    return 1, tuple(c)
+
+
+#: Each facet, as (constant, coefficients on m), to where the library keeps
+#: its value: the index of its CHSH slack or of its outcome sum.
+FACETS = {
+    **{(2, (*(-s for s in signs), 0, 0, 0, 0)): ("chsh", k) for k, signs in enumerate(CHSH_FORMS)},
+    **{outcome_facet(*outcome): ("outcome", k) for k, outcome in enumerate(OUTCOMES)},
+}
+
+
+def image_facet(g, facet):
+    """The facet whose value on the image of a table is ``facet``'s on it."""
+    constant, c = facet
+    perm, sign = g
+    return constant, tuple(c[perm[k]] * sign[k] for k in IDENTITY)
+
+
+def facet_value(t, facet):
+    """The library's own value of ``facet`` on ``t``."""
+    kind, k = FACETS[facet]
+    return t._chsh_slacks[k] if kind == "chsh" else polytope._positivity_sums(t)[k]
+
+
+def witness_facet(witness):
+    if witness.kind == "bell-form":
+        return 2, (*(-s for s in witness.signs), 0, 0, 0, 0)
+    sa, sb, row, col = re.match(
+        r"p\(row=([+-]1), col=([+-]1) \| '(r[01])', '(c[01])'\)", witness.description
+    ).groups()
+    return outcome_facet(ROWS.index(row), COLS.index(col), int(sa), int(sb))
+
+
+def decision(t):
+    """The fields a relabeling keeps, as ``float.hex``: feasibility, band,
+    smallest CHSH slack, smallest outcome sum, top form value and the
+    violation of an infeasible table; then the witness."""
+    result = realizable(t)
+    sums = polytope._positivity_sums(t) if t.has_singles else ()
+    fields = (
+        result.feasible,
+        classify(t),
+        min(t._chsh_slacks).hex(),
+        min(sums, default=math.inf).hex(),
+        bell_value_all_forms(t).hex(),
+        None if result.feasible else result.max_residual.hex(),
+    )
+    return fields, result.witness
+
+
+def check_relabelings(case, relabelings):
+    t = case_table(*case)
+    fields, witness = decision(t)
+    facet = witness and witness_facet(witness)
+    if facet is not None:  # its value is the violation the result reports
+        slack = facet_value(t, facet)
+        reported = slack / 4 if FACETS[facet][0] == "outcome" else slack
+        assert fields[5] == (-reported).hex()
+    for g in relabelings:
+        image = case_table(*relabel(g, case))
+        assert decision(image)[0] == fields, (case, g)
+        if facet is not None:
+            assert facet_value(image, image_facet(g, facet)).hex() == slack.hex()
+
+
+#: How far a facet-adjacent table is pushed across its facet or inside it.
+OFFSETS = (2.0**-54, 2.0**-40, 1e-12, *DELTAS)
+#: Entries of the dense subnormal slice.
+DENSE = (0.0, 0.5, -0.5, 1.0, -1.0, *(s * k * 2.0**-1074 for k in (1, 2, 3, 5) for s in (1, -1)))
+
+
+def uniform_cases(rng, n):
+    for k, m in enumerate(rng.uniform(-1, 1, (n, 8)).tolist()):
+        yield m[:4], m[4:] if k % 2 else None
+
+
+def facet_adjacent_cases(rng, n):
+    """Strategy mixtures on a random facet, pushed ``OFFSETS`` across it or
+    inside. Outcome facets, and a quarter of the CHSH ones, have singles."""
+    facets = list(FACETS)
+    for k in range(n):
+        constant, c = facets[rng.integers(len(facets))]
+        c = np.array(c, dtype=float)
+        on = constant + MOMENTS @ c == 0.0  # the strategies on the facet
+        w = np.zeros(16)
+        w[on] = rng.dirichlet(np.ones(on.sum()))
+        push = (-1) ** k * OFFSETS[k % len(OFFSETS)] / np.dot(c, c)
+        m = np.clip(w @ MOMENTS - push * c, -1, 1).tolist()
+        yield m[:4], m[4:] if constant == 1 or k % 4 == 1 else None
+
+
+def dense_subnormal_cases(rng, n):
+    """Entries drawn from ``DENSE``: every sum of them is exact, and many
+    outcome sums are a few multiples of 2**-1074, either side of 0."""
+    for k in range(n):
+        m = rng.choice(DENSE, 8).tolist()
+        yield m[:4], m[4:] if k % 4 else None
+
+
+SLICES = {
+    "uniform": lambda rng: uniform_cases(rng, 10_000),
+    "facet-adjacent": lambda rng: facet_adjacent_cases(rng, 10_000),
+    "subnormal": lambda rng: itertools.chain(subnormal_cases(rng), dense_subnormal_cases(rng, 6_541)),
+}
+
+
+@functools.cache
+def slice_cases(name):
+    return list(SLICES[name](np.random.default_rng([20261020, list(SLICES).index(name)])))
+
+
+def test_the_generators_give_the_128_relabelings():
+    assert len(RELABELINGS) == 128
+    case = [0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]
+    for g in GENERATORS:
+        assert compose(g, g) == (IDENTITY, (1,) * 8)
+        for h in GENERATORS:
+            assert relabel(compose(g, h), case) == relabel(h, relabel(g, case))
+    for g in RELABELINGS:
+        assert {image_facet(g, f) for f in FACETS} == set(FACETS)
+
+
+@pytest.mark.parametrize("name", SLICES)
+def test_every_decision_survives_each_generator(name):
+    # The seven generators suffice: each field is a function of the table.
+    cases = slice_cases(name)
+    assert len(cases) >= 10_000
+    for case in cases:
+        check_relabelings(case, GENERATORS)
+
+
+def test_every_decision_survives_all_128_relabelings():
+    for name in SLICES:
+        for case in slice_cases(name)[::100]:
+            check_relabelings(case, RELABELINGS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(DENSE) | st.floats(-1.0, 1.0), min_size=8, max_size=8),
+    st.booleans(),
+    st.sampled_from(RELABELINGS),
+)
+def test_a_relabeled_table_keeps_its_decision(m, with_singles, g):
+    check_relabelings((m[:4], m[4:] if with_singles else None), [g])
+
+
+# ------------------------------------------------------------ exact oracles
+#
+# Two routes in exact arithmetic, independent of every float the library
+# computes: the 24 facets, and a simplex over the 16 strategy weights.
+
+#: Every float in [-1, 1] is an integer multiple of 2**-1074.
+ULPS = 2**1074
+
+
+def in_ulps(values):
+    """Each value as an exact Fraction, times ``ULPS``: an int."""
+    return [f.numerator * (ULPS // f.denominator) for f in map(Fraction, values)]
+
+
+def facets_classical(case):
+    """Fine's 8 CHSH facets and, with singles, the 16 outcome facets, exactly,
+    on a (joints, singles or None) case."""
+    joints, singles = case
+    e = in_ulps(joints)
+    if any(sum(s * v for s, v in zip(signs, e)) > 2 * ULPS for signs in CHSH_FORMS):
+        return False
+    if singles is None:
+        return True
+    a = in_ulps(singles)
+    return all(ULPS + sa * a[i] + sb * a[2 + j] + sa * sb * e[2 * i + j] >= 0 for i, j, sa, sb in OUTCOMES)
+
+
+def vertices_classical(case):
+    """Whether strategy weights w >= 0 with sum 1 reproduce the moments of a
+    (joints, singles or None) case, by phase 1 of the simplex method in
+    Fractions.
+
+    One artificial variable per equality starts the basis; Bland's rule (the
+    lowest eligible column enters, the lowest basic variable leaves on a
+    tie) cannot cycle. An artificial that leaves never re-enters. The table
+    is classical iff the artificials' sum reaches 0.
+    """
+    strategies = enumerate_strategies()
+    columns = [(*s.joint_products(), *s.outcome_vector()) for s in strategies]
+    joints, singles = case
+    rows = [[Fraction(1)] * 17]  # sum w = 1
+    for k, target in enumerate(map(Fraction, (*joints, *(singles or ())))):
+        sign = -1 if target < 0 else 1
+        rows.append([Fraction(sign * c[k]) for c in columns] + [sign * target])
+    basis = [16 + r for r in range(len(rows))]
+    # Reduced costs of the phase-1 objective, the artificials' sum; the last
+    # entry is minus its value.
+    cost = [-sum(column) for column in zip(*rows)]
+    while True:
+        entering = next((j for j in range(16) if cost[j] < 0), None)
+        if entering is None:
+            return cost[16] == 0
+        _, _, r = min(
+            (row[16] / row[entering], basis[r], r) for r, row in enumerate(rows) if row[entering] > 0
+        )
+        pivot = rows[r] = [v / rows[r][entering] for v in rows[r]]
+        for other in (*rows[:r], *rows[r + 1 :], cost):
+            f = other[entering]
+            if f:
+                other[:] = [v - f * p if p else v for v, p in zip(other, pivot)]
+        basis[r] = entering
+
+
+@functools.cache
+def slice_results(name):
+    return [realizable(case_table(*case)) for case in slice_cases(name)]
+
+
+@pytest.mark.parametrize("name", SLICES)
+def test_realizable_agrees_with_the_exact_facets(name):
+    for case, result in zip(slice_cases(name), slice_results(name)):
+        assert result.feasible is facets_classical(case), case
+
+
+def test_realizable_agrees_with_the_exact_facets_on_the_bit_identity_tables():
+    for case in bit_identity_cases(np.random.default_rng(20261019)):
+        assert realizable(case_table(*case)).feasible is facets_classical(case), case
+
+
+def test_the_exact_vertex_route_agrees_with_the_facet_route():
+    # A sample of each slice, and every table whose only violation is an
+    # outcome probability that rounds to -0.0.
+    below = 0
+    for name in SLICES:
+        for k, (case, result) in enumerate(zip(slice_cases(name), slice_results(name))):
+            witness = result.witness
+            tiny = witness is not None and witness.kind == "outcome-probability" and witness.value == 0.0
+            below += tiny
+            if tiny or k % 100 == 0:
+                assert vertices_classical(case) is facets_classical(case), case
+    assert below >= 100
