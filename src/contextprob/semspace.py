@@ -24,9 +24,11 @@ DEFAULT_ORDER_BUDGET = 1_000_000
 
 #: Most cells (terms x documents) a count matrix may hold. The size of a
 #: corpus does not bound it: N one-token lines, each with a new token, ask
-#: for N**2 cells. The counts take 8 bytes a cell and ``svd_truncate`` copies
-#: them as floats, so 2**25 cells is about 0.5 GB, some ten times the
-#: corpora perfbench/ generates (3,977 terms x 800 documents, 3.2 M cells).
+#: for N**2 cells. The counts take 8 bytes a cell. ``svd_truncate`` copies
+#: them twice, as float32 (4 bytes a cell) for the Gram matrix and then as
+#: float64 (8 bytes), never both at once, so 2**25 cells is about 0.5 GB,
+#: some ten times the corpora perfbench/ generates (3,977 terms x 800
+#: documents, 3.2 M cells).
 MAX_MATRIX_CELLS = 2**25
 
 #: Smallest kept singular value, as a fraction of the largest, for which
@@ -62,6 +64,18 @@ class TermDocMatrix:
             raise ValueError("counts must be nonnegative")
         if not np.any(counts):
             raise ValueError("count matrix is entirely zero")
+        self._set(terms, docs, counts)
+
+    @classmethod
+    def _from_counts(cls, terms, docs, counts: np.ndarray) -> TermDocMatrix:
+        """A matrix from unchecked labels and a fresh int64 count array that
+        is non-negative and not all zero, as ``build_matrix`` makes it, so
+        that only the labels are checked."""
+        matrix = object.__new__(cls)
+        matrix._set(distinct_labels(terms, "term"), distinct_labels(docs, "document"), counts)
+        return matrix
+
+    def _set(self, terms: Labels, docs: Labels, counts: np.ndarray) -> None:
         counts.flags.writeable = False
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "docs", docs)
@@ -138,27 +152,42 @@ def load_corpus(path: str | Path, lowercase: bool = True) -> list[tuple[str, lis
 def build_matrix(corpus: Sequence[tuple[str, Sequence[str]]]) -> TermDocMatrix:
     """Count matrix over a corpus; vocabulary keeps first-seen token order.
 
-    One pass checks each token and gives it its vocabulary row; the counts
-    are then one ``bincount`` over the flat (row, document) cell indices.
+    The tokens are gathered into one flat list; a document whose tokens are
+    a string (which would read as its characters, as in ``label_items``) or
+    not a collection at all is refused by name. Only the distinct tokens are
+    checked, and the first bad one in corpus order is reported. Each
+    token's vocabulary row is written straight into an int64 array, and the
+    counts are one ``bincount`` over the flat (row, document) cell indices.
     A matrix of more than ``MAX_MATRIX_CELLS`` cells is refused before it
     is allocated.
     """
     if not corpus:
         raise ValueError("empty corpus: need at least one document")
-    vocab: dict[str, int] = {}
     doc_labels: list[str] = []
-    rows: list[int] = []
+    flat: list[str] = []
     lengths: list[int] = []
     for label, tokens in corpus:
         doc_labels.append(label)
-        start = len(rows)
-        for tok in tokens:
-            if not isinstance(tok, str) or not tok:
-                raise ValueError(
-                    f"document {shown(label)} contains a non-string or empty token: {shown(tok)}"
-                )
-            rows.append(vocab.setdefault(tok, len(vocab)))
-        lengths.append(len(rows) - start)
+        start = len(flat)
+        try:
+            flat += label_items(tokens, "token")
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"document {shown(label)} needs a collection of tokens, got {shown(tokens)}"
+            ) from None
+        lengths.append(len(flat) - start)
+    try:
+        vocab = tuple(dict.fromkeys(flat))
+        "".join(vocab)  # fails on any non-string
+        ok = "" not in vocab
+    except TypeError:  # an unhashable or non-string token
+        ok = False
+    if not ok:  # name the first bad token and its document
+        at = next(i for i, tok in enumerate(flat) if not isinstance(tok, str) or not tok)
+        label = doc_labels[np.searchsorted(np.cumsum(lengths), at, side="right")]
+        raise ValueError(
+            f"document {shown(label)} contains a non-string or empty token: {shown(flat[at])}"
+        )
     if not vocab:
         raise ValueError("corpus has no tokens")
     n_terms, n_docs = len(vocab), len(doc_labels)
@@ -167,10 +196,11 @@ def build_matrix(corpus: Sequence[tuple[str, Sequence[str]]]) -> TermDocMatrix:
             f"count matrix would hold {n_terms} terms x {n_docs} documents = "
             f"{n_terms * n_docs} cells; the limit is {MAX_MATRIX_CELLS}"
         )
-    cells = np.array(rows, dtype=np.int64) * n_docs
+    index = dict(zip(vocab, range(n_terms)))
+    cells = n_docs * np.fromiter(map(index.__getitem__, flat), np.int64, len(flat))
     cells += np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
-    counts = np.bincount(cells, minlength=n_terms * n_docs).reshape(n_terms, n_docs)
-    return TermDocMatrix(tuple(vocab), tuple(doc_labels), counts)
+    counts = np.bincount(cells, minlength=n_terms * n_docs).astype(np.int64, copy=False)
+    return TermDocMatrix._from_counts(vocab, doc_labels, counts.reshape(n_terms, n_docs))
 
 
 def svd_truncate(matrix: TermDocMatrix, k: int) -> SemanticSpace:
@@ -189,6 +219,13 @@ def svd_truncate(matrix: TermDocMatrix, k: int) -> SemanticSpace:
     two break even near k = 0.7 n; on smaller and squarer matrices near
     0.4 n), so the full SVD is taken and truncated.
 
+    The Gram matrix is formed in float32 when every column sum s_j of ``a``
+    is at most 4095, and in float64 otherwise; its bits are the same either
+    way. Every product a_ti * a_tj and every partial sum of an entry G_ij is
+    a non-negative integer no larger than s_i * s_j <= 4095**2 < 2**24, and
+    float32 holds each such integer exactly, so no step rounds, in any
+    summation order BLAS takes. The float32 product reads half the bytes.
+
     The Gram matrix squares the spectrum, so a direction whose singular
     value is tiny next to the largest one is resolved only loosely. When the
     smallest kept value falls below ``GRAM_RELATIVE_FLOOR`` (1e-4) times the
@@ -200,10 +237,9 @@ def svd_truncate(matrix: TermDocMatrix, k: int) -> SemanticSpace:
     """
     max_k = min(len(matrix.terms), len(matrix.docs))
     k = _rank(k, max_k)
-    counts = matrix.counts.astype(float)
-    factors = _gram_factors(counts, k) if k <= GRAM_MAX_RANK_FRACTION * max_k else None
+    factors = _gram_factors(matrix.counts, k) if k <= GRAM_MAX_RANK_FRACTION * max_k else None
     if factors is None:
-        u, s, vt = np.linalg.svd(counts, full_matrices=False)
+        u, s, vt = np.linalg.svd(matrix.counts.astype(float), full_matrices=False)
         factors = u[:, :k], s[:k], vt[:k].T
     u, s, v = factors
     return SemanticSpace(
@@ -219,14 +255,32 @@ def svd_truncate(matrix: TermDocMatrix, k: int) -> SemanticSpace:
 def _gram_factors(counts: np.ndarray, k: int):
     """The top-k (u, s, v) through the Gram matrix, or None below the floor."""
     transposed = counts.shape[0] < counts.shape[1]
-    a = counts.T if transposed else counts
-    _, eigenvectors = np.linalg.eigh(a.T @ a)
+    gram, a = _gram(counts.T if transposed else counts)
+    _, eigenvectors = np.linalg.eigh(gram)
     v = eigenvectors[:, : -k - 1 : -1]
     u, s, wt = np.linalg.svd(a @ v, full_matrices=False)
     if s[-1] < GRAM_RELATIVE_FLOOR * s[0]:
         return None
     v = v @ wt.T
     return (v, s, u) if transposed else (u, s, v)
+
+
+def _gram(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a.T @ a`` in float64 for a non-negative int64 matrix ``a``, and ``a``
+    as float64.
+
+    With every column sum of ``a`` at most 4095 the product is formed in
+    float32, which gives the float64 product's bits (see ``svd_truncate``).
+    The bound is read from the float32 copy's column sums, which cannot wrap
+    as int64 sums can: a float32 sum of non-negative integers is exact while
+    it stays below 2**24, and rounding is monotone, so a computed sum is at
+    most 4095 exactly when the true one is.
+    """
+    a32 = a.astype(np.float32)
+    gram = (a32.T @ a32).astype(float) if a32.sum(axis=0).max() <= 4095 else None
+    del a32  # freed before the float64 copy is made
+    a = a.astype(float)
+    return (a.T @ a if gram is None else gram), a
 
 
 def similarity(space: SemanticSpace, term1: str, term2: str) -> float:
