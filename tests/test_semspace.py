@@ -12,6 +12,7 @@ from contextprob.cli import main
 from contextprob.fixtures import fixture_path
 import contextprob.semspace as semspace_module
 from contextprob import _tolerance
+from contextprob._labels import shown
 from contextprob.semspace import (
     GRAM_MAX_RANK_FRACTION,
     GRAM_RELATIVE_FLOOR,
@@ -106,6 +107,75 @@ corpora = st.lists(
     min_size=1,
     max_size=8,
 ).map(lambda docs: [(f"doc{i}", tokens) for i, tokens in enumerate(docs)])
+
+
+def reference_build_matrix(corpus):
+    """The token loop that the flat pass replaced: each token is checked and
+    given its vocabulary row in one pass, and the counts go through the
+    public constructor. No corpus here comes near the cell cap."""
+    if not corpus:
+        raise ValueError("empty corpus: need at least one document")
+    vocab: dict[str, int] = {}
+    doc_labels: list[str] = []
+    rows: list[int] = []
+    lengths: list[int] = []
+    for label, tokens in corpus:
+        doc_labels.append(label)
+        start = len(rows)
+        for tok in tokens:
+            if not isinstance(tok, str) or not tok:
+                raise ValueError(
+                    f"document {shown(label)} contains a non-string or empty token: {shown(tok)}"
+                )
+            rows.append(vocab.setdefault(tok, len(vocab)))
+        lengths.append(len(rows) - start)
+    if not vocab:
+        raise ValueError("corpus has no tokens")
+    n_terms, n_docs = len(vocab), len(doc_labels)
+    cells = np.array(rows, dtype=np.int64) * n_docs
+    cells += np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
+    counts = np.bincount(cells, minlength=n_terms * n_docs).reshape(n_terms, n_docs)
+    return TermDocMatrix(tuple(vocab), tuple(doc_labels), counts)
+
+
+def reference_gram_factors(counts, k):
+    """The Gram route with the product formed in float64, from float64 counts."""
+    transposed = counts.shape[0] < counts.shape[1]
+    a = counts.T if transposed else counts
+    _, eigenvectors = np.linalg.eigh(a.T @ a)
+    v = eigenvectors[:, : -k - 1 : -1]
+    u, s, wt = np.linalg.svd(a @ v, full_matrices=False)
+    if s[-1] < GRAM_RELATIVE_FLOOR * s[0]:
+        return None
+    v = v @ wt.T
+    return (v, s, u) if transposed else (u, s, v)
+
+
+def reference_svd_truncate(matrix, k):
+    """``svd_truncate``'s (u, s, v) with the counts copied once as float64."""
+    counts = matrix.counts.astype(float)
+    factors = None
+    if k <= GRAM_MAX_RANK_FRACTION * min(counts.shape):
+        factors = reference_gram_factors(counts, k)
+    if factors is None:
+        u, s, vt = np.linalg.svd(counts, full_matrices=False)
+        factors = u[:, :k], s[:k], vt[:k].T
+    return factors
+
+
+def zipf_corpus(seed, docs, tokens, vocabulary, first_doc_tokens=None):
+    """Documents of Zipf-distributed words (exponent 1), as perfbench draws them."""
+    rng = np.random.default_rng(seed)
+    p = 1.0 / np.arange(1, vocabulary + 1)
+    lengths = [first_doc_tokens or tokens] + [tokens] * (docs - 1)
+    return [
+        (f"doc{i}", [f"w{t}" for t in rng.choice(vocabulary, n, p=p / p.sum())])
+        for i, n in enumerate(lengths)
+    ]
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def flat_index_oracle(tokens, vocab):
@@ -236,6 +306,35 @@ def test_cell_cap_is_inclusive(monkeypatch):
         build_matrix([("d1", ["a", "b", "c", "d"]), ("d2", ["a"])])
 
 
+@pytest.mark.parametrize("tokens", ["ab", None])
+def test_a_document_whose_tokens_are_no_collection_is_named(tokens):
+    # A string would read as its characters, as label_items refuses.
+    with pytest.raises(ValueError) as info:
+        build_matrix([("d0", ["a"]), ("d1", tokens)])
+    assert str(info.value) == f"document 'd1' needs a collection of tokens, got {shown(tokens)}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    corpora,
+    st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 12), st.sampled_from([5, "", ["a"]])),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_a_bad_token_anywhere_gives_the_reference_error(corpus, placements):
+    corpus = [(label, list(tokens)) for label, tokens in corpus]
+    for d, at, token in placements:
+        tokens = corpus[d % len(corpus)][1]
+        tokens.insert(at % (len(tokens) + 1), token)
+    with pytest.raises(ValueError) as want:
+        reference_build_matrix(corpus)
+    with pytest.raises(ValueError) as got:
+        build_matrix(corpus)
+    assert str(got.value) == str(want.value)
+
+
 # --------------------------------------------------------------- svd_truncate
 
 
@@ -314,6 +413,102 @@ def test_rank_above_the_gram_fraction_takes_the_lapack_route(shape):
         if k > GRAM_MAX_RANK_FRACTION * n:
             assert_lapack_route(space, counts)
         assert_near_optimal(space, counts, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "docs, tokens, vocabulary, first_doc_tokens, transposed, above",
+    [
+        (300, 20, 2000, None, False, False),  # columns are documents of 20 tokens
+        (300, 20, 2000, 5000, False, True),  # one document of 5000 tokens
+        (400, 10, 150, None, True, False),  # columns are terms, the commonest ~700
+        (400, 80, 150, None, True, True),  # the commonest term ~5,700 times
+    ],
+)
+def test_the_matrix_and_the_factors_keep_the_reference_bits(
+    docs, tokens, vocabulary, first_doc_tokens, transposed, above
+):
+    corpus = zipf_corpus(docs + tokens, docs, tokens, vocabulary, first_doc_tokens)
+    got, want = build_matrix(corpus), reference_build_matrix(corpus)
+    assert got.terms == want.terms and got.docs == want.docs
+    assert same_bits(got.counts, want.counts) and not got.counts.flags.writeable
+    counts = got.counts
+    assert (counts.shape[0] < counts.shape[1]) == transposed
+    a = counts.T if transposed else counts
+    assert (a.sum(axis=0).max() >= 4096) == above
+    n = min(counts.shape)
+    for k in (10, int(GRAM_MAX_RANK_FRACTION * n)):
+        space = svd_truncate(got, k)
+        factors = (space.word_vectors, space.singular_values, space.doc_vectors)
+        for x, y in zip(factors, reference_svd_truncate(want, k)):
+            assert same_bits(x, y)
+
+
+def float64_gram(a):
+    a = a.astype(float)
+    return a.T @ a
+
+
+def assert_gram_bits(a):
+    """``_gram`` gives the float64 product's bits, and ``a`` as float64."""
+    gram, a64 = semspace_module._gram(a)
+    assert same_bits(gram, float64_gram(a))
+    assert same_bits(a64, a.astype(float))
+
+
+def test_gram_of_a_column_holding_one_entry_of_4095():
+    a = np.array([[3, 0, 7], [1, 4095, 0], [0, 0, 9], [2, 0, 4088]])
+    assert_gram_bits(a)
+    assert float64_gram(a)[1, 1] == 4095**2
+
+
+def test_gram_of_a_column_summing_to_4095_over_many_entries():
+    rng = np.random.default_rng(4095)
+    a = np.column_stack(
+        [
+            np.ones(4095, np.int64),
+            rng.multinomial(4095, np.full(4095, 1 / 4095)),
+            rng.integers(0, 2, 4095),
+        ]
+    )
+    assert a.sum(axis=0).tolist()[:2] == [4095, 4095]
+    assert_gram_bits(a)
+
+
+def test_gram_of_a_transposed_matrix():
+    counts = np.random.default_rng(7).integers(0, 400, size=(3, 9))
+    assert counts.sum(axis=1).max() <= 4095
+    assert_gram_bits(counts.T)
+
+
+def test_gram_of_a_column_whose_int64_sum_wraps_takes_the_float64_route():
+    a = np.array([[2**62, 1], [2**62, 0], [1024, 1]])
+    assert a.sum(axis=0)[0] < 0  # an int64 bound would read this column as small
+    a32 = a.astype(np.float32)
+    assert not same_bits((a32.T @ a32).astype(float), float64_gram(a))
+    assert_gram_bits(a)
+
+
+def test_the_bound_is_needed_one_entry_of_4097_is_not_exact_in_float32():
+    a = np.array([[4097, 1], [0, 2]])
+    a32 = a.astype(np.float32)
+    assert (a32.T @ a32)[0, 0] != float64_gram(a)[0, 0] == 4097**2
+    assert_gram_bits(a)
+
+
+@st.composite
+def capped_count_matrices(draw):
+    """Non-negative integer matrices whose every column sums to at most 4095:
+    each column's running sum is capped there, so many reach it."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    raw = draw(arrays(np.int64, shape, elements=st.integers(0, 4095)))
+    return np.diff(np.minimum(np.cumsum(raw, axis=0), 4095), axis=0, prepend=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capped_count_matrices())
+def test_gram_keeps_the_float64_bits_for_column_sums_up_to_4095(a):
+    assert a.min() >= 0 and a.sum(axis=0).max() <= 4095
+    assert_gram_bits(a)
 
 
 @pytest.mark.parametrize(
