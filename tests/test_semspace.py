@@ -167,9 +167,10 @@ def zipf_corpus(seed, docs, tokens, vocabulary, first_doc_tokens=None):
     """Documents of Zipf-distributed words (exponent 1), as perfbench draws them."""
     rng = np.random.default_rng(seed)
     p = 1.0 / np.arange(1, vocabulary + 1)
+    p /= p.sum()
     lengths = [first_doc_tokens or tokens] + [tokens] * (docs - 1)
     return [
-        (f"doc{i}", [f"w{t}" for t in rng.choice(vocabulary, n, p=p / p.sum())])
+        (f"doc{i}", [f"w{t}" for t in rng.choice(vocabulary, n, p=p)])
         for i, n in enumerate(lengths)
     ]
 
