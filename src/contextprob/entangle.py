@@ -15,6 +15,7 @@ narrower the relation, the more the marginals can shift; see guppy_gap.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -37,12 +38,24 @@ class CompatibilityRelation:
 
     def __post_init__(self) -> None:
         pairs = tuple(map(label_pair, self.pairs))
-        if not pairs:
-            raise ValueError("compatibility relation needs at least one pair")
         if len(set(pairs)) != len(pairs):
             seen: set[tuple[str, str]] = set()
             dup = next(p for p in pairs if p in seen or seen.add(p))
             raise ValueError(f"duplicate pair in relation: {shown(dup)}")
+        self._set(pairs)
+
+    @classmethod
+    def _from_pairs(cls, pairs: tuple[tuple[str, str], ...]) -> CompatibilityRelation:
+        """A relation from pairs checked already, as ``parse_relation`` and
+        ``full_relation`` make them: a tuple of pairwise distinct 2-tuples of
+        non-empty strings. Only the empty relation is refused."""
+        relation = object.__new__(cls)
+        relation._set(pairs)
+        return relation
+
+    def _set(self, pairs: tuple[tuple[str, str], ...]) -> None:
+        if not pairs:
+            raise ValueError("compatibility relation needs at least one pair")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_last", None)
 
@@ -73,28 +86,42 @@ class CompatibilityRelation:
 def full_relation(left: tuple[str, ...], right: tuple[str, ...]) -> CompatibilityRelation:
     """The Cartesian product relation: every pair is compatible."""
     left, right = distinct_labels(left, "left"), distinct_labels(right, "right")
-    return CompatibilityRelation(tuple((a, b) for a in left for b in right))
+    # Two checked Labels: every pair is two labels, and no two pairs are equal.
+    return CompatibilityRelation._from_pairs(tuple(itertools.product(left, right)))
 
 
 def parse_relation(text: str) -> CompatibilityRelation:
-    """Parse one tab-separated (left, right) pair per line.
+    """Parse one tab-separated (left, right) pair per line, in one pass.
 
-    Blank lines and lines starting with '#' are skipped.
+    Blank lines and lines starting with '#' are skipped. Every other line
+    is exactly two tab-separated labels, each stripped and non-empty. Each
+    distinct label is kept as one string that every pair holding it shares.
+    A pair given twice is a ValueError naming both of its lines.
     """
-    pairs: list[tuple[str, str]] = []
+    first: dict[tuple[str, str], int] = {}  # each pair and its line, in order
+    label = {}.setdefault  # each distinct label, kept once
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("\t")
+        if len(fields) == 2:
+            x, y = fields[0].strip(), fields[1].strip()
+            if x and y:
+                if x[0] == "#":  # the line's first character that is not whitespace
+                    continue
+                pair = (label(x, x), label(y, y))
+                at = first.setdefault(pair, lineno)
+                if at != lineno:
+                    raise ValueError(
+                        f"line {lineno}: duplicate pair {shown(pair)}, first on line {at}"
+                    )
+                continue
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in raw.split("\t")]
-        if len(fields) != 2 or not all(fields):
+        if line and not line.startswith("#"):
             raise ValueError(
                 f"line {lineno}: expected two tab-separated labels, got {shown(line)}"
             )
-        pairs.append((fields[0], fields[1]))
-    if not pairs:
+    if not first:
         raise ValueError("relation file contains no pairs")
-    return CompatibilityRelation(tuple(pairs))
+    return CompatibilityRelation._from_pairs(tuple(first))
 
 
 def load_relation(path: str | Path) -> CompatibilityRelation:

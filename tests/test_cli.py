@@ -815,23 +815,42 @@ def crlf_copy(tmp_path, path):
     return str(copy)
 
 
-def test_crlf_inputs_give_the_same_results(capsys, tmp_path):
-    def argvs(p):
-        return [
-            ["ratings", p(PET_RATINGS), "--context", "bone"],
-            ["bell", "--scenario", p(PET_FOOD_SCENARIO)],
-            ["kolmo", "--scenario", p(QUANTUM_PATTERN)],
-            [
-                "guppy",
-                "--concept-a", p(PETFISH_PET),
-                "--concept-b", p(PETFISH_FISH),
-                "--relation", p(PET_FISH_PAIRS),
-                "--exemplar", "guppy",
-            ],
-            ["semspace", "--corpus", p(TOY_CORPUS), "--compare", "mary hits john", "john hits mary"],
-        ]
+def every_reader_argvs(p):
+    """A run of each reader: ratings, scenario, relation and corpus, with
+    each input path passed through ``p``."""
+    return [
+        ["ratings", p(PET_RATINGS), "--context", "bone"],
+        ["bell", "--scenario", p(PET_FOOD_SCENARIO)],
+        ["kolmo", "--scenario", p(QUANTUM_PATTERN)],
+        [
+            "guppy",
+            "--concept-a", p(PETFISH_PET),
+            "--concept-b", p(PETFISH_FISH),
+            "--relation", p(PET_FISH_PAIRS),
+            "--exemplar", "guppy",
+        ],
+        ["semspace", "--corpus", p(TOY_CORPUS), "--compare", "mary hits john", "john hits mary"],
+    ]
 
-    for lf, crlf in zip(argvs(str), argvs(lambda path: crlf_copy(tmp_path, path))):
+
+def test_inputs_with_a_byte_order_mark_give_the_same_results(capsys, tmp_path):
+    # A BOM failed every reader: the relation read '\ufeff# Exemplars...' as
+    # its first line, and a scenario was not valid JSON.
+    def bom_copy(path):
+        copy = tmp_path / ("bom-" + os.path.basename(path))
+        copy.write_bytes(b"\xef\xbb\xbf" + raw(path))
+        return str(copy)
+
+    for plain, bom in zip(every_reader_argvs(str), every_reader_argvs(bom_copy)):
+        report = run_report(capsys, bom)
+        assert report["results"] == run_report(capsys, plain)["results"], plain[0]
+        assert report["inputs"] and all(raw(p).startswith(b"\xef\xbb\xbf") for p in report["inputs"])
+        assert report["inputs"] == {p: sha256(p) for p in report["inputs"]}  # the BOM included
+
+
+def test_crlf_inputs_give_the_same_results(capsys, tmp_path):
+    crlf_argvs = every_reader_argvs(lambda path: crlf_copy(tmp_path, path))
+    for lf, crlf in zip(every_reader_argvs(str), crlf_argvs):
         report = run_report(capsys, crlf)
         assert report["results"] == run_report(capsys, lf)["results"], lf[0]
         assert all(b"\r\n" in raw(p) for p in report["inputs"])
@@ -892,6 +911,11 @@ READ_ERRORS = {
         guppy_argv(relation="{f}"),
         b"guppy\tguppy\nonlyone\n",
         "{f}: line 2: expected two tab-separated labels, got 'onlyone'",
+    ),
+    "guppy-repeated-pair": (
+        guppy_argv(relation="{f}"),
+        b"guppy\tguppy\n# again\ngoldfish\tgoldfish\nguppy \tguppy\n",
+        "{f}: line 4: duplicate pair ('guppy', 'guppy'), first on line 1",
     ),
 }
 

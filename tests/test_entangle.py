@@ -1,12 +1,15 @@
 import gc
 import itertools
 import math
+import re
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from contextprob._labels import shown
 from contextprob._tolerance import DEFAULT_TOL
 from contextprob.concepts import ContextDistribution, RatingTable, context_distribution
 from contextprob.entangle import (
@@ -123,6 +126,145 @@ def test_a_relation_of_comments_alone_has_no_pairs():
 def test_load_shipped_pet_food_pairs():
     rel = load_relation(fixture_path("pet_food_pairs.tsv"))
     assert set(rel.pairs) == set(PET_FOOD.pairs)
+
+
+def test_the_constructor_keeps_its_duplicate_message():
+    with pytest.raises(ValueError) as err:
+        CompatibilityRelation((("a", "b"), ("c", "d"), ("a", "b")))
+    assert str(err.value) == "duplicate pair in relation: ('a', 'b')"
+
+
+def test_a_repeated_pair_in_a_relation_file_names_both_lines():
+    text = "# pairs\na\tb\nc\td\n\n  a \t b\nbad line\n"
+    with pytest.raises(ValueError) as err:
+        parse_relation(text)
+    assert str(err.value) == "line 5: duplicate pair ('a', 'b'), first on line 2"
+
+
+def test_a_relation_file_keeps_each_label_string_once():
+    rel = parse_relation("x\ty\nx\tz\n z\tx\ny\ty\n")
+    assert rel.pairs == (("x", "y"), ("x", "z"), ("z", "x"), ("y", "y"))
+    labels = [label for pair in rel.pairs for label in pair]
+    assert len({id(label) for label in labels}) == len(set(labels)) == 3
+    assert all(type(pair) is tuple for pair in rel.pairs)
+
+
+def test_full_relation_equals_the_checked_relation_of_the_same_product():
+    left, right = ("x", "y", "z"), ("u", "v")
+    got = full_relation(left, right)
+    want = CompatibilityRelation(tuple(itertools.product(left, right)))
+    assert got == want and hash(got) == hash(want)
+    assert got.pairs == want.pairs and all(type(pair) is tuple for pair in got.pairs)
+    assert got._last is None
+    with pytest.raises(ValueError, match="duplicate left label: 'x'"):
+        full_relation(("x", "x"), right)
+
+
+def test_a_relation_from_checked_pairs_still_needs_one():
+    with pytest.raises(ValueError) as err:
+        CompatibilityRelation._from_pairs(())
+    assert str(err.value) == "compatibility relation needs at least one pair"
+
+
+def dense_relation_text(n):
+    labels = [f"e{k:04d}" for k in range(n)]
+    return "".join(f"{a}\t{b}\n" for a in labels for b in labels)
+
+
+def test_a_300_by_300_relation_keeps_each_label_once_in_64_bytes_a_pair():
+    # Each line once made two label strings: 171.9 B per pair. A pair now
+    # costs its 2-tuple (56 B) and its slot in the pairs tuple (8 B).
+    text = dense_relation_text(300)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rel = parse_relation(text)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rel.pairs) == 90_000
+    assert retained / len(rel.pairs) <= 72
+    assert len({id(label) for pair in rel.pairs for label in pair}) == 300
+
+
+# ------------------------------------------- the earlier reader, as a reference
+
+
+def reference_parse_relation(text):
+    """The reader as it was: a label check and a duplicate check by the
+    public constructor after the loop."""
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in raw.split("\t")]
+        if len(fields) != 2 or not all(fields):
+            raise ValueError(
+                f"line {lineno}: expected two tab-separated labels, got {shown(line)}"
+            )
+        pairs.append((fields[0], fields[1]))
+    if not pairs:
+        raise ValueError("relation file contains no pairs")
+    return CompatibilityRelation(tuple(pairs))
+
+
+def pairs_or_error(parse, text):
+    try:
+        return parse(text).pairs
+    except ValueError as exc:
+        return str(exc)
+
+
+# Characters that str.strip() removes. The first five also end a line for
+# str.splitlines(), so they are drawn only at a line's two ends; inside a
+# line they would leave it one field.
+EDGE = st.sampled_from(["", " ", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\x1f", "\xa0"])
+SPACE = st.sampled_from(["", " ", "\x1f", "\xa0"])
+LABEL = st.one_of(st.sampled_from(["a", "b", "c"]), st.sampled_from(["#", "#x", "a b", ""]))
+FIELD = st.tuples(SPACE, LABEL, SPACE).map("".join)
+FIELDS = st.one_of(
+    st.tuples(FIELD, FIELD),
+    st.tuples(FIELD, FIELD),
+    st.lists(FIELD, min_size=1, max_size=4),  # 0 to 3 tabs
+).map("\t".join)
+LINE = st.one_of(
+    st.tuples(EDGE, FIELDS, EDGE).map("".join),
+    st.sampled_from(["", "  ", "# c", "  # x\ty", "\t#x", "a\tb\t", "a\t", "\tb", "a\t\tb"]),
+)
+ENDED_LINE = st.tuples(LINE, st.sampled_from(["\n", "\r\n", "\r"])).map("".join)
+RELATION_TEXT = st.tuples(st.lists(ENDED_LINE, max_size=8), st.one_of(st.just(""), LINE)).map(
+    lambda parts: "".join(parts[0]) + parts[1]  # the last line may have no end
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(RELATION_TEXT)
+@example("a\tb\r\n  # x\ty\n\t#x\nc\x85\td\u2028\n")
+@example("a\x1f\t\xa0b\na\tb\nbad line\n")
+def test_the_one_pass_reader_gives_the_reference_pairs_or_error(text):
+    got = pairs_or_error(parse_relation, text)
+    want = pairs_or_error(reference_parse_relation, text)
+    dup = re.fullmatch(r"line (\d+): duplicate pair (.*), first on line (\d+)", str(got))
+    if dup is None:
+        assert got == want
+        if not isinstance(got, str):
+            labels = [label for pair in got for label in pair]
+            assert len({id(label) for label in labels}) == len(set(labels))
+        return
+    # The one planned difference: a repeated pair is named by its two lines
+    # as soon as it is read. The reference reads every line up to the repeat
+    # without error and finds the same pair repeated there.
+    at, first = int(dup[1]), int(dup[3])
+    lines = text.splitlines()
+    pair = tuple(f.strip() for f in lines[at - 1].split("\t"))
+    assert first < at and shown(pair) == dup[2]
+    assert tuple(f.strip() for f in lines[first - 1].split("\t")) == pair
+    kept = text.splitlines(keepends=True)
+    head = pairs_or_error(reference_parse_relation, "".join(kept[:at]))
+    assert head == f"duplicate pair in relation: {dup[2]}"
+    before = pairs_or_error(reference_parse_relation, "".join(kept[: first - 1]))
+    assert before == "relation file contains no pairs" or pair not in before
 
 
 # -------------------------------------------------------------------- combine
