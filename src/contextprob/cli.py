@@ -2,10 +2,13 @@
 
 Subcommands: ratings, bell, sweep, guppy, semspace, kolmo. Every run emits
 one report: a JSON record by default, or, for ``ratings`` and ``sweep``,
-tab-separated plot data under ``--format tsv``. Reports are deterministic
-for identical inputs and flags except for the separate timing field; errors
-go to stderr and flip the exit code to 1. Each input file is read once, and
-the report's ``inputs`` digests the bytes that were parsed.
+tab-separated plot data under ``--format tsv``. Each handler returns only
+its results record; ``main`` alone reads ``--format`` and writes the record
+as JSON or, through ``_tsv_rows``, as TSV rows of the record's values.
+Reports are deterministic for identical inputs and flags except for the
+separate timing field; errors go to stderr and flip the exit code to 1.
+Each input file is read once, and the report's ``inputs`` digests the bytes
+that were parsed.
 
 A run imports only the modules its subcommand needs: each handler imports
 them itself, so ``bell``, ``kolmo`` and ``sweep`` never load numpy, and
@@ -36,26 +39,23 @@ SCHEMA_VERSION = 1
 MAX_GRID_POINTS = 1_000_000
 
 
-def _resolve_context(table: concepts.RatingTable, query: str) -> str:
-    """Exact context label, or a unique case-insensitive substring of one."""
-    if query not in table.contexts.positions:
-        hits = [c for c in table.contexts if query.lower() in c.lower()]
+def _pick_context(table: concepts.RatingTable, given: str | None, flag: str) -> str:
+    """The context ``flag`` names: an exact label, or a unique case-insensitive
+    substring of one. Without the flag, a one-context table's only context."""
+    if given is None:
+        if len(table.contexts) == 1:
+            return table.contexts[0]
+        raise ValueError(
+            f"{flag} is required for a multi-context table; "
+            f"available contexts: {listing(table.contexts)}"
+        )
+    if given not in table.contexts.positions:
+        hits = [c for c in table.contexts if given.lower() in c.lower()]
         if len(hits) > 1:
-            raise ValueError(f"context {shown(query)} is ambiguous; matches: {listing(hits)}")
+            raise ValueError(f"context {shown(given)} is ambiguous; matches: {listing(hits)}")
         if hits:
             return hits[0]
-    return table.contexts[table.context_index(query)]
-
-
-def _pick_context(table: concepts.RatingTable, given: str | None, flag: str) -> str:
-    if given is not None:
-        return _resolve_context(table, given)
-    if len(table.contexts) == 1:
-        return table.contexts[0]
-    raise ValueError(
-        f"{flag} is required for a multi-context table; "
-        f"available contexts: {listing(table.contexts)}"
-    )
+    return table.contexts[table.context_index(given)]
 
 
 def _load_table(args) -> bell.CorrelationTable:
@@ -72,19 +72,12 @@ def _cmd_ratings(args):
     from . import _inputs, concepts
 
     table = _inputs.parse(args.table, concepts.parse_ratings, record=args.inputs)
-    context = _resolve_context(table, args.context)
+    context = _pick_context(table, args.context, "--context")
     dist = concepts.context_distribution(table, context)
-    ranking = concepts._ranking(dist)
-    if args.format == "tsv":
-        tsv = ["rank\texemplar\ttypicality"]
-        tsv += [
-            f"{i + 1}\t{x}\t{dist.probability(x)!r}" for i, x in enumerate(ranking)
-        ]
-        return tsv
     return {
         "context": context,
         "typicalities": dist.probabilities,
-        "ranking": ranking,
+        "ranking": concepts._ranking(dist),
     }
 
 
@@ -143,17 +136,23 @@ def _parse_grid(text: str) -> list[float]:
 def _cmd_sweep(args):
     from . import bell
 
-    points = bell.sweep_mixing(_parse_grid(args.grid))
-    if args.format == "tsv":
-        tsv = ["odd_event_probability\tbell_value\tviolated"]
-        tsv += [
-            f"{pt.odd_event_probability!r}\t{pt.bell_value!r}\t"
-            f"{'true' if pt.violated else 'false'}"
-            for pt in points
-        ]
-        return tsv
     # A SweepPoint's instance dict holds exactly its three fields.
-    return {"points": [vars(pt) for pt in points]}
+    return {"points": [vars(pt) for pt in bell.sweep_mixing(_parse_grid(args.grid))]}
+
+
+def _tsv_rows(command: str, results: dict):
+    """A ``ratings`` or ``sweep`` record's TSV rows: a header, then one row per
+    ranked exemplar or per grid point, its values in the record's order and
+    each float by its repr."""
+    if command == "ratings":
+        typicality = results["typicalities"]
+        yield "rank\texemplar\ttypicality"
+        for i, x in enumerate(results["ranking"], 1):
+            yield f"{i}\t{x}\t{typicality[x]!r}"
+    else:
+        yield "odd_event_probability\tbell_value\tviolated"
+        for p, b, v in map(dict.values, results["points"]):
+            yield f"{p!r}\t{b!r}\t{'true' if v else 'false'}"
 
 
 def _cmd_guppy(args):
@@ -206,11 +205,9 @@ def _cmd_semspace(args):
     if args.compare is not None:
         s1, s2 = args.compare
         tok1, tok2 = semspace.tokenize(s1, lowercase), semspace.tokenize(s2, lowercase)
-        import numpy as np
-
-        same_bow = np.array_equal(
-            semspace.bow_vector(tok1, matrix.terms), semspace.bow_vector(tok2, matrix.terms)
-        )
+        same_bow = (
+            semspace.bow_vector(tok1, matrix.terms) == semspace.bow_vector(tok2, matrix.terms)
+        ).all()
         same_order = semspace.order_index(tok1, matrix.terms) == semspace.order_index(
             tok2, matrix.terms
         )
@@ -354,33 +351,30 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     args.inputs = {}  # each input file's bytes, as the handler parsed them
     try:
-        # The results dict, or the TSV rows under --format tsv.
-        output = args.handler(args)
+        results = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    digests = {}
-    if args.inputs and args.format == "record":  # a TSV report lists no inputs
-        import hashlib
-
-        digests = {p: "sha256:" + hashlib.sha256(b).hexdigest() for p, b in args.inputs.items()}
-    elapsed = time.perf_counter() - start
-
-    if args.format == "tsv":
+    if args.format == "tsv":  # a TSV report lists no inputs and no timing
         lines = [
             f"# contextprob schema={SCHEMA_VERSION} version={__version__}",
             f"# command: {args.command} " + " ".join(raw[1:]),
-            *output,
+            *_tsv_rows(args.command, results),
         ]
         parts = ["\n".join(lines)]
     else:
+        digests = {}
+        if args.inputs:
+            import hashlib
+
+            digests = {p: "sha256:" + hashlib.sha256(b).hexdigest() for p, b in args.inputs.items()}
         report = {
             "schema_version": SCHEMA_VERSION,
             "artifact_version": __version__,
             "command": raw,
             "inputs": digests,
-            "results": output,
-            "timing_s": round(elapsed, 6),
+            "results": results,
+            "timing_s": round(time.perf_counter() - start, 6),
         }
         # The encoder's chunks, joined and printed a batch at a time: dumps
         # would first list them all (~15 million at the grid cap), and a

@@ -149,7 +149,9 @@ def _clamped(labels: Sequence[str], p: np.ndarray) -> np.ndarray:
 
 
 def parse_ratings(text: str) -> RatingTable:
-    """Parse tab-separated rating-table text. Errors cite 1-based line numbers."""
+    """Parse tab-separated rating-table text. Errors cite 1-based line numbers;
+    an empty or repeated exemplar is refused on its line, and a repeated one
+    names the line it was first on too."""
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -165,7 +167,7 @@ def parse_ratings(text: str) -> RatingTable:
             f"line {header_line}: header must list at least one non-empty context label"
         )
 
-    exemplars: list[str] = []
+    first: dict[str, int] = {}  # each exemplar and its line, in order
     values: list[list[float]] = []
     for lineno, cells in rows[1:]:
         if len(cells) != len(header):
@@ -193,10 +195,16 @@ def parse_ratings(text: str) -> RatingTable:
                     f"is not finite: {shown(cell.strip())}"
                 )
             row.append(v)
-        exemplars.append(exemplar)
+        if not exemplar:
+            raise ValueError(f"line {lineno}: exemplar labels must be non-empty strings, got ''")
+        at = first.setdefault(exemplar, lineno)
+        if at != lineno:
+            raise ValueError(
+                f"line {lineno}: duplicate exemplar label: {shown(exemplar)}, first on line {at}"
+            )
         values.append(row)
 
-    return RatingTable(tuple(exemplars), tuple(contexts), np.array(values))
+    return RatingTable(tuple(first), tuple(contexts), np.array(values))
 
 
 def load_ratings(path: str | Path) -> RatingTable:

@@ -321,10 +321,8 @@ def _vocab_indices(tokens: Sequence[str], vocab: Sequence[str]) -> tuple[Labels,
 def bow_vector(tokens: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
     """Order-free representation: per-term counts over the vocabulary."""
     vocab, indices = _vocab_indices(tokens, vocab)
-    vec = np.zeros(len(vocab), dtype=np.int64)
-    for i in indices:
-        vec[i] += 1
-    return vec
+    # bincount counts in the platform's intp, which may be 32-bit.
+    return np.bincount(indices, minlength=len(vocab)).astype(np.int64, copy=False)
 
 
 def order_index(tokens: Sequence[str], vocab: Sequence[str]) -> tuple[int, int]:

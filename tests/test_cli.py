@@ -862,6 +862,13 @@ READ_ERRORS = {
         b"exemplar\tc\n\xff\xfex\t1\n",
         "{f}: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte",
     ),
+    "ratings-not-utf8-after-bom": (
+        # The bytes of test_file_that_is_not_utf8_is_named (position 13) after
+        # a byte-order mark: the position is the bad byte's offset in the file.
+        ["ratings", "{f}", "--context", "c"],
+        b"\xef\xbb\xbfexemplar\tc\nx\t\xff\n",
+        "{f}: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte",
+    ),
     "kolmo-not-utf8": (
         ["kolmo", "--scenario", "{f}"],
         b'{"joint": [[1, 0], [0, 1]], "description": "\xff"}',
@@ -960,6 +967,48 @@ def test_tsv_output_is_byte_identical_across_runs(capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ratings", PET_RATINGS, "--context", "weird"],
+        ["sweep", "--grid", "0:1:0.125"],
+    ],
+    ids=["ratings", "sweep"],
+)
+def test_a_handler_returns_its_record_under_either_format(argv):
+    # Only main reads --format: the handler returns the same record for both.
+    records = []
+    for extra in ([], ["--format", "tsv"]):
+        args = cli._build_parser().parse_args(argv + extra)
+        args.inputs = {}
+        records.append(args.handler(args))
+    assert isinstance(records[0], dict)
+    assert records[0] == records[1]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["sweep", "--grid", "0:1:1e-5", "--format", "tsv"],
+            "841aa63d74f32c0d2500e819eacd3601cf929260433a76299564b804a2d38a9f",
+        ),
+        (
+            ["ratings", "pet_context_ratings.tsv", "--context", "weird", "--format", "tsv"],
+            "60ebaaa56763f2ae06f9cb2cccd2641fa3d92020c577498eaee3305761d9d77b",
+        ),
+    ],
+    ids=["sweep", "ratings"],
+)
+def test_tsv_reports_keep_their_bytes(capsys, monkeypatch, argv, digest):
+    # The whole TSV report, its header lines included, pinned byte for byte;
+    # run in the fixtures directory so the echoed command names the shipped file.
+    monkeypatch.chdir(os.path.dirname(PET_RATINGS))
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_report_echoes_the_command_line(capsys):

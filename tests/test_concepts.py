@@ -124,6 +124,20 @@ def test_parse_duplicate_exemplar_rejected():
         parse_ratings(text)
 
 
+def test_parse_duplicate_exemplar_names_both_lines():
+    text = "exemplar\tc1\nant\t1\n\nbee\t2\nant\t3\n"
+    with pytest.raises(ValueError) as err:
+        parse_ratings(text)
+    assert str(err.value) == "line 5: duplicate exemplar label: 'ant', first on line 2"
+
+
+def test_parse_empty_exemplar_names_its_line():
+    text = "exemplar\tc1\nant\t1\n \t2\n"
+    with pytest.raises(ValueError) as err:
+        parse_ratings(text)
+    assert str(err.value) == "line 3: exemplar labels must be non-empty strings, got ''"
+
+
 def test_parse_all_zero_column_rejected():
     text = "exemplar\tc1\tc2\nant\t1\t0\nbee\t2\t0\n"
     with pytest.raises(ValueError, match="no mass: 'c2'"):

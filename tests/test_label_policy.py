@@ -296,9 +296,11 @@ ENTRY_POINTS = {
         lambda ls, x: one_context(ls)[1].probability(x),
     ),
     "typicality": ("unknown exemplar {}", lambda ls, x: typicality(one_context(ls)[0], "c", x)),
-    "cli._resolve_context": (
+    "cli._pick_context": (
         "unknown context {}",
-        lambda ls, x: cli._resolve_context(RatingTable(("e",), ls, np.ones((1, len(ls)))), x),
+        lambda ls, x: cli._pick_context(
+            RatingTable(("e",), ls, np.ones((1, len(ls)))), x, "--context"
+        ),
     ),
     "StateVector.index": ("unknown basis label {}", lambda ls, x: uniform(ls).index(x)),
     "StateVector.amplitude": ("unknown basis label {}", lambda ls, x: uniform(ls).amplitude(x)),
@@ -362,7 +364,7 @@ ENTRY_POINTS = {
 #: Where no unhashable label can arrive: a pair key of a joint state is
 #: hashable, a CLI context is a string, and a basis check meets two checked
 #: bases (those messages name no single label).
-NO_UNHASHABLE_CASE = {"EntangledState side A", "EntangledState side B", "cli._resolve_context"}
+NO_UNHASHABLE_CASE = {"EntangledState side A", "EntangledState side B", "cli._pick_context"}
 NO_UNHASHABLE_CASE |= {name for name, (start, _) in ENTRY_POINTS.items() if "{}" not in start}
 
 SMALL = ("a", "b", "c")
@@ -478,8 +480,7 @@ def test_only_labels_turns_a_missed_lookup_into_an_error():
 #: Output sites that print a value by its repr on purpose, not in a message:
 #: the TSV number columns, a mapping's own repr and Python's attribute error.
 REPR_OUTPUTS = {
-    "cli._cmd_ratings",
-    "cli._cmd_sweep",
+    "cli._tsv_rows",
     "entangle._PairAmplitudes.__repr__",
     "__init__.__getattr__",
 }

@@ -767,6 +767,30 @@ def test_bow_is_permutation_invariant(perm):
     assert np.array_equal(bow_vector(tuple(perm), vocab), base)
 
 
+def reference_bow_vector(tokens, vocab):
+    """``bow_vector`` as a loop that adds one per token."""
+    pos = {t: i for i, t in enumerate(vocab)}
+    vec = np.zeros(len(vocab), dtype=np.int64)
+    for t in tokens:
+        vec[pos[t]] += 1
+    return vec
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bow_matches_the_counting_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    vocab = tuple(f"w{i}" for i in range(1 + seed * 7))
+    token_lists = [
+        (),
+        (vocab[0],) * 5,  # one token repeated
+        tuple(vocab[i] for i in rng.integers(len(vocab), size=40)),
+    ]
+    for tokens in token_lists:
+        got, want = bow_vector(tokens, vocab), reference_bow_vector(tokens, vocab)
+        assert got.dtype == np.int64 and got.shape == (len(vocab),)
+        assert got.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------- order_representation
 
 
