@@ -16,7 +16,8 @@ No other module formats a message by repr.
 ``same_labels`` is the one check that two objects share a basis, and
 ``label_pair`` the one check of a (left, right) pair. A string given for a
 collection of labels is refused everywhere, by ``label_items``, rather than
-read as its characters.
+read as its characters. Every checked record of the package sets its fields
+by ``freeze``, which makes each array among them read-only first.
 """
 
 from __future__ import annotations
@@ -39,6 +40,17 @@ def shown(value) -> str:
         value = value.item()
     text = repr(value)
     return text if len(text) <= 60 else f"{text[:28]}...{text[-29:]}"
+
+
+def freeze(record, **fields) -> None:
+    """Set the fields of a frozen record, each numpy array among them made
+    read-only first, in one update of the record's ``__dict__``."""
+    np = sys.modules.get("numpy")  # no array exists before it loads
+    array = np.ndarray if np is not None else ()
+    for value in fields.values():
+        if isinstance(value, array):
+            value.flags.writeable = False
+    record.__dict__.update(fields)
 
 
 def listing(labels: Sequence) -> str:

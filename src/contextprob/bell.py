@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import _inputs
-from ._labels import distinct_labels, listing, shown
+from ._labels import distinct_labels, freeze, listing, shown
 from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, as_number, check_tolerance
 
 #: All eight sign placements: one minus among the four terms, up to a
@@ -76,14 +76,11 @@ class CorrelationTable:
         singles_b = _singles(self.singles_b, cols, "singles_b")
         if (singles_a is None) != (singles_b is None):
             raise ValueError("singles must be given for both sides or neither")
-        object.__setattr__(self, "row_contexts", rows)
-        object.__setattr__(self, "col_contexts", cols)
-        object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "singles_a", singles_a)
-        object.__setattr__(self, "singles_b", singles_b)
         slacks = _chsh_slacks(joint)
-        object.__setattr__(self, "_chsh_slacks", slacks)
-        object.__setattr__(self, "_top_form", _top_form(joint, slacks))
+        freeze(
+            self, row_contexts=rows, col_contexts=cols, joint=joint, singles_a=singles_a,
+            singles_b=singles_b, _chsh_slacks=slacks, _top_form=_top_form(joint, slacks),
+        )
 
     @property
     def has_singles(self) -> bool:
@@ -260,8 +257,7 @@ class PetFoodScenario:
     odd_event_probability: float
 
     def __post_init__(self) -> None:
-        p = _mixing_probability(self.odd_event_probability)
-        object.__setattr__(self, "odd_event_probability", p)
+        freeze(self, odd_event_probability=_mixing_probability(self.odd_event_probability))
 
 
 def _mixing_probability(value) -> float:

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _inputs
-from ._labels import Labels, distinct_labels, shown
+from ._labels import Labels, distinct_labels, freeze, shown
 from ._tolerance import DEFAULT_TOL, as_array
 from .hilbert import StateVector
 
@@ -56,10 +56,7 @@ class RatingTable:
         dead = np.flatnonzero(ratings.max(axis=0) <= 0)
         if dead.size:
             raise ValueError(f"context column has no mass: {shown(contexts[dead[0]])}")
-        ratings.flags.writeable = False
-        object.__setattr__(self, "exemplars", exemplars)
-        object.__setattr__(self, "contexts", contexts)
-        object.__setattr__(self, "ratings", ratings)
+        freeze(self, exemplars=exemplars, contexts=contexts, ratings=ratings)
 
     def context_index(self, context: str) -> int:
         return self.contexts.index_of(context, "context")
@@ -106,7 +103,7 @@ class ContextDistribution:
         """A distribution from a context label, checked labels and a fresh
         float array of their probabilities, which is clamped in place."""
         dist = object.__new__(cls)
-        object.__setattr__(dist, "context", context)
+        freeze(dist, context=context)
         dist._set(labels, p)
         return dist
 
@@ -115,9 +112,7 @@ class ContextDistribution:
         total = sum(_clamped(labels, p).tolist())
         if abs(total - 1.0) > DEFAULT_TOL:
             raise ValueError(f"probabilities sum to {shown(total)}, expected 1")
-        p.flags.writeable = False
-        object.__setattr__(self, "_exemplars", labels)
-        object.__setattr__(self, "_p", p)
+        freeze(self, _exemplars=labels, _p=p)
 
     def __getattr__(self, name: str):
         # Reached only for a name the instance does not hold yet.
@@ -126,7 +121,7 @@ class ContextDistribution:
                 f"'{type(self).__name__}' object has no attribute '{name}'", name=name, obj=self
             )
         probabilities = dict(zip(self._exemplars, self._p.tolist()))
-        object.__setattr__(self, "probabilities", probabilities)
+        freeze(self, probabilities=probabilities)
         return probabilities
 
     @property
@@ -150,8 +145,9 @@ def _clamped(labels: Sequence[str], p: np.ndarray) -> np.ndarray:
 
 def parse_ratings(text: str) -> RatingTable:
     """Parse tab-separated rating-table text. Errors cite 1-based line numbers;
-    an empty or repeated exemplar is refused on its line, and a repeated one
-    names the line it was first on too."""
+    a repeated context is refused on the header's line, an empty or repeated
+    exemplar on its own line, and a repeated exemplar names the line it was
+    first on too."""
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -166,6 +162,10 @@ def parse_ratings(text: str) -> RatingTable:
         raise ValueError(
             f"line {header_line}: header must list at least one non-empty context label"
         )
+    try:
+        contexts = distinct_labels(contexts, "context")
+    except ValueError as err:  # a repeated label
+        raise ValueError(f"line {header_line}: {err}") from None
 
     first: dict[str, int] = {}  # each exemplar and its line, in order
     values: list[list[float]] = []
@@ -204,7 +204,7 @@ def parse_ratings(text: str) -> RatingTable:
             )
         values.append(row)
 
-    return RatingTable(tuple(first), tuple(contexts), np.array(values))
+    return RatingTable(tuple(first), contexts, np.array(values))
 
 
 def load_ratings(path: str | Path) -> RatingTable:

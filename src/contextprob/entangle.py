@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _inputs
-from ._labels import Labels, distinct_labels, label_pair, listing, same_labels, shown
+from ._labels import Labels, distinct_labels, freeze, label_pair, listing, same_labels, shown
 from ._tolerance import DEFAULT_TOL, as_number
 from .concepts import ContextDistribution, _clamped
 from .hilbert import Observable
@@ -56,8 +56,7 @@ class CompatibilityRelation:
     def _set(self, pairs: tuple[tuple[str, str], ...]) -> None:
         if not pairs:
             raise ValueError("compatibility relation needs at least one pair")
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_last", None)
+        freeze(self, pairs=pairs, _last=None)
 
     def _positions(self, basis_a: Labels, basis_b: Labels) -> tuple[np.ndarray, np.ndarray]:
         """Each pair's position in ``basis_a`` and in ``basis_b``, as two
@@ -78,8 +77,8 @@ class CompatibilityRelation:
             for x, y in self.pairs:
                 basis_a.index_of(x, "exemplar")
                 basis_b.index_of(y, "exemplar")
-        rows.flags.writeable = cols.flags.writeable = False
-        object.__setattr__(self, "_last", (basis_a, basis_b, rows, cols))
+        rows.flags.writeable = cols.flags.writeable = False  # freeze sees only the tuple
+        freeze(self, _last=(basis_a, basis_b, rows, cols))
         return rows, cols
 
 
@@ -181,15 +180,10 @@ class EntangledState:
         norm_sq = float(np.sum(probs))
         if not abs(norm_sq - 1.0) <= DEFAULT_TOL:  # also refuses NaN
             raise ValueError(f"joint state is not normalized: squared norm {shown(norm_sq)}")
-        for arr in (rows, cols, amps, probs):
-            arr.flags.writeable = False
-        object.__setattr__(self, "basis_a", basis_a)
-        object.__setattr__(self, "basis_b", basis_b)
-        object.__setattr__(self, "amplitudes", _PairAmplitudes(basis_a, basis_b, rows, cols, amps))
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_cols", cols)
-        object.__setattr__(self, "_amps", amps)
-        object.__setattr__(self, "_probs", probs)
+        freeze(
+            self, basis_a=basis_a, basis_b=basis_b, _rows=rows, _cols=cols, _amps=amps,
+            _probs=probs, amplitudes=_PairAmplitudes(basis_a, basis_b, rows, cols, amps),
+        )
 
     @property
     def dim(self) -> int:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ._labels import distinct_labels, label_items, listing, same_labels, shown
+from ._labels import distinct_labels, freeze, label_items, listing, same_labels, shown
 from ._tolerance import DEFAULT_TOL, as_array, as_number
 
 if TYPE_CHECKING:
@@ -40,9 +41,7 @@ class StateVector:
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm_sq - 1.0) <= DEFAULT_TOL:  # also refuses NaN
             raise ValueError(f"state is not normalized: squared norm {shown(norm_sq)}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "amplitudes", amps)
+        freeze(self, basis=basis, amplitudes=amps)
 
     @property
     def dim(self) -> int:
@@ -79,10 +78,7 @@ class Projector:
             raise ValueError(f"projector support not in basis: [{listing(stray)}]")
         support = frozenset(support)
         mask = np.fromiter((x in support for x in basis), dtype=bool, count=len(basis))
-        mask.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "_mask", mask)
+        freeze(self, basis=basis, support=support, _mask=mask)
 
 
 def identity_projector(basis: Sequence[str]) -> Projector:
@@ -94,7 +90,8 @@ def identity_projector(basis: Sequence[str]) -> Projector:
 class Observable:
     """Diagonal two-valued observable: each basis label gets +1 or -1.
 
-    The signs are also kept as a read-only float array in basis order.
+    ``signs`` is a read-only mapping, and the signs are also kept as a
+    read-only float array in basis order.
     """
 
     basis: tuple[str, ...]
@@ -115,14 +112,14 @@ class Observable:
             if signs[label] is None:
                 raise ValueError(f"sign for {shown(label)} must be +1 or -1, got {shown(s)}")
         in_order = np.array([signs[x] for x in basis], dtype=float)
-        in_order.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "_signs", in_order)
+        freeze(self, basis=basis, signs=MappingProxyType(signs), _signs=in_order)
 
     def sign(self, label: str) -> int:
         self.basis.index_of(label, "basis label")  # names an unknown label
         return self.signs[label]
+
+    def __reduce__(self):
+        return Observable, (self.basis, dict(self.signs))  # a mapping proxy does not pickle
 
 
 def sign_projectors(obs: Observable) -> tuple[Projector, Projector]:

@@ -32,7 +32,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from ._labels import shown
+from ._labels import freeze, shown
 from ._tolerance import DEFAULT_TOL, RESIDUAL_TOL, as_number
 from .bell import CorrelationTable, CHSH_FORMS, _sized, bell_value_all_forms
 
@@ -66,7 +66,7 @@ class DeterministicStrategy:
             if None in outcomes:
                 bad = given[outcomes.index(None)]
                 raise ValueError(f"strategy outcomes must be +1 or -1, got {shown(bad)}")
-            object.__setattr__(self, field, outcomes)
+            freeze(self, **{field: outcomes})
 
     def joint_products(self) -> tuple[int, int, int, int]:
         """Products row_i * col_j in row-major order."""

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _inputs
-from ._labels import Labels, distinct_labels, label_items, listing, shown
+from ._labels import Labels, distinct_labels, freeze, label_items, listing, shown
 from ._tolerance import DEFAULT_TOL, as_array, as_number
 
 DEFAULT_ORDER_BUDGET = 1_000_000
@@ -64,22 +64,17 @@ class TermDocMatrix:
             raise ValueError("counts must be nonnegative")
         if not np.any(counts):
             raise ValueError("count matrix is entirely zero")
-        self._set(terms, docs, counts)
+        freeze(self, terms=terms, docs=docs, counts=counts)
 
     @classmethod
     def _from_counts(cls, terms, docs, counts: np.ndarray) -> TermDocMatrix:
         """A matrix from unchecked labels and a fresh int64 count array that
         is non-negative and not all zero, as ``build_matrix`` makes it, so
         that only the labels are checked."""
+        terms, docs = distinct_labels(terms, "term"), distinct_labels(docs, "document")
         matrix = object.__new__(cls)
-        matrix._set(distinct_labels(terms, "term"), distinct_labels(docs, "document"), counts)
+        freeze(matrix, terms=terms, docs=docs, counts=counts)
         return matrix
-
-    def _set(self, terms: Labels, docs: Labels, counts: np.ndarray) -> None:
-        counts.flags.writeable = False
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "docs", docs)
-        object.__setattr__(self, "counts", counts)
 
     def term_index(self, term: str) -> int:
         return self.terms.index_of(term, "term")
@@ -109,13 +104,10 @@ class SemanticSpace:
             raise ValueError("singular values must be nonnegative and nonincreasing")
         if wv.shape != (len(terms), k) or dv.shape != (len(docs), k):
             raise ValueError("factor shapes inconsistent with rank and labels")
-        sv.flags.writeable = wv.flags.writeable = dv.flags.writeable = False
-        object.__setattr__(self, "rank", k)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "docs", docs)
-        object.__setattr__(self, "word_vectors", wv)
-        object.__setattr__(self, "singular_values", sv)
-        object.__setattr__(self, "doc_vectors", dv)
+        freeze(
+            self, rank=k, terms=terms, docs=docs, word_vectors=wv, singular_values=sv,
+            doc_vectors=dv,
+        )
 
     def reconstruct(self) -> np.ndarray:
         """The rank-k approximation of the original count matrix."""
@@ -207,17 +199,18 @@ def svd_truncate(matrix: TermDocMatrix, k: int) -> SemanticSpace:
     """Best rank-k least-squares approximation of the count matrix.
 
     For a rank k up to ``GRAM_MAX_RANK_FRACTION`` (0.4) of the shorter side
-    n, only the k kept factors are computed. With ``a`` the count matrix,
-    transposed if needed so that its n columns are the shorter side, the
-    top k eigenvectors of the n x n Gram matrix ``a.T @ a`` span the
-    right singular subspace. A Rayleigh-Ritz step, the thin SVD of the
-    m x k matrix ``a @ V``, then gives the singular values of ``a`` on that
-    subspace (sorted, nonnegative), the left vectors, and rotates ``V`` to
-    match; both factors come out orthonormal to rounding and no singular
-    value is divided by. Above that rank the full eigendecomposition and the
-    Ritz step cost more than LAPACK's thin SVD (on 800 x 3977 counts the
-    two break even near k = 0.7 n; on smaller and squarer matrices near
-    0.4 n), so the full SVD is taken and truncated.
+    n, the factors are found through the Gram matrix. With ``a`` the count
+    matrix, transposed if needed so that its n columns are the shorter side,
+    ``np.linalg.eigh`` computes all n eigenvectors of the n x n Gram matrix
+    ``a.T @ a``, and the top k of them span the right singular subspace.
+    Only the Rayleigh-Ritz step works at rank k: the thin SVD of the m x k
+    matrix ``a @ V`` gives the singular values of ``a`` on that subspace
+    (sorted, nonnegative), the left vectors, and rotates ``V`` to match;
+    both factors come out orthonormal to rounding and no singular value is
+    divided by. Above that rank the full eigendecomposition and the Ritz
+    step cost more than LAPACK's thin SVD (on 800 x 3977 counts the two
+    break even near k = 0.7 n; on smaller and squarer matrices near 0.4 n),
+    so the full SVD is taken and truncated.
 
     The Gram matrix is formed in float32 when every column sum s_j of ``a``
     is at most 4095, and in float64 otherwise; its bits are the same either

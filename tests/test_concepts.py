@@ -107,6 +107,12 @@ def test_a_header_with_an_empty_context_label_is_refused():
     assert str(err.value) == "line 1: header must list at least one non-empty context label"
 
 
+def test_a_repeated_context_label_names_the_header_line():
+    with pytest.raises(ValueError) as err:
+        parse_ratings("\nexemplar\tc\tc\nant\t1\t2\n")  # the header is on line 2
+    assert str(err.value) == "line 2: duplicate context label: 'c'"
+
+
 def test_parse_minus_infinity_is_a_negative_rating():
     with pytest.raises(ValueError, match=r"line 2: negative rating at \('ant', 'c1'\): -inf"):
         parse_ratings("exemplar\tc1\nant\t-inf\n")

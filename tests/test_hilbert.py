@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -211,6 +213,24 @@ def test_observable_keeps_its_signs_as_a_read_only_array_in_basis_order():
     assert obs._signs.dtype == float and obs._signs.tolist() == [-1.0, 1.0, 1.0]
     with pytest.raises(ValueError, match="read-only"):
         obs._signs[0] = 1.0
+
+
+def test_observable_signs_cannot_be_changed():
+    obs = Observable(AB, {"alpha": 1, "beta": 1})
+    with pytest.raises(TypeError):
+        obs.signs["alpha"] = -1
+    assert obs.sign("alpha") == 1 and expectation(obs, basis_state(AB, "alpha")) == 1.0
+    assert sign_projectors(obs)[0].support == {"alpha", "beta"}
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_a_copied_observable_keeps_its_signs(clone):
+    obs = clone(Observable(AB, {"alpha": 1, "beta": -1}))
+    assert dict(obs.signs) == {"alpha": 1, "beta": -1} and obs._signs.tolist() == [1.0, -1.0]
+    with pytest.raises(TypeError):
+        obs.signs["beta"] = 1
 
 
 def test_observable_names_stray_labels_of_mixed_types():
